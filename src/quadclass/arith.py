@@ -17,6 +17,7 @@ __all__ = [
     "mod_pow",
     "multiplicative_order",
     "jacobi",
+    "distinct_prime_factors",
     "is_squarefree",
     "euler_phi",
     "is_prime",
@@ -53,19 +54,21 @@ def mod_pow(b: int, e: int, n: int) -> int:
     return pow(b, e, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def multiplicative_order(b: int, n: int) -> int:
     """Least e >= 1 with b**e = 1 (mod n).  Requires gcd(b, n) = 1.
 
     Starts from euler_phi(n), a multiple of the order, and strips prime
-    factors while the power still annihilates.
+    factors while the power still annihilates.  The cache is bounded: a
+    sweep asks for each (b, n) once, while expand() over every orbit of one
+    (b, n) asks repeatedly in a row.
     """
     if n <= 1:
         raise InvalidModulusError(f"modulus must exceed 1, got {n}")
     if gcd(b, n) != 1:
         raise NotCoprimeError(f"gcd({b}, {n}) > 1, order undefined")
     order = euler_phi(n)
-    for p in _distinct_prime_factors(order):
+    for p in distinct_prime_factors(order):
         while order % p == 0 and pow(b, order // p, n) == 1:
             order //= p
     return order
@@ -92,7 +95,7 @@ def jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def _distinct_prime_factors(n: int) -> list[int]:
+def distinct_prime_factors(n: int) -> list[int]:
     """Distinct primes dividing n, ascending, by trial division."""
     ps = []
     d = 2
@@ -126,7 +129,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     phi = n
-    for p in _distinct_prime_factors(n):
+    for p in distinct_prime_factors(n):
         phi -= phi // p
     return phi
 
@@ -153,7 +156,7 @@ def is_primitive_root(b: int, p: int) -> bool:
         raise ValueError(f"need a prime modulus, got {p}")
     if gcd(b, p) != 1:
         return False
-    return all(pow(b, (p - 1) // q, p) != 1 for q in _distinct_prime_factors(p - 1))
+    return all(pow(b, (p - 1) // q, p) != 1 for q in distinct_prime_factors(p - 1))
 
 
 def least_primitive_root(p: int) -> int:

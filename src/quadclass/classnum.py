@@ -10,16 +10,31 @@ digits, evaluated in exact integer (or rational) arithmetic:
   * weighted sums of the subinterval character totals E_k(B), either at B
     directly or regrouped through a divisor B1 of B.
 
+The routes share one kernel: the character table of discriminant.QuadChar,
+built once per D.  The cycle route walks the orbits of x -> Bx mod N over
+it in place (h_theorem1).  Every interval quantity, here and in theorems,
+is a difference of the prefix sums P(t) = sum_{x <= t} chi(x) at cut points
+floor(kN/B), read through cut_totals, so it costs O(B) per base rather than
+a pass over x.  Only h_dirichlet, the reference route, sums over x itself.
+
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import is_prime, is_primitive_root, least_primitive_root
+from .arith import (
+    distinct_prime_factors,
+    euler_phi,
+    is_prime,
+    is_primitive_root,
+    least_primitive_root,
+    multiplicative_order,
+)
 from .discriminant import Discriminant, QuadChar, from_discriminant, quad_char
 from .errors import (
     ExcludedDiscriminantError,
@@ -28,6 +43,8 @@ from .errors import (
     NotCoprimeError,
     WrongParityError,
 )
+# all_cycles stays importable from here, next to h_cycle_contribution:
+# summing the one over the other is the reference h_theorem1 is tested against.
 from .expansion import all_cycles, expand, normalize_cycle, ExpansionPeriod
 
 __all__ = [
@@ -38,6 +55,7 @@ __all__ = [
     "h_cycle_contribution",
     "h_theorem1",
     "h_floor_formula",
+    "cut_totals",
     "ek_table",
     "h_from_ek",
     "h_from_ek_factored",
@@ -63,7 +81,7 @@ class EkTable:
     """Character totals over the B subintervals (kN/B, (k+1)N/B) of (0, N).
 
     entries[k] is E_k = sum of chi(x) over the k-th subinterval, and
-    pos_counts/neg_counts split its support by sign.  boundaries holds the
+    pos_counts/neg_counts split its support by sign.  boundaries gives the
     exact rational endpoints; none of the interior ones is an integer, so
     membership is unambiguous.
     """
@@ -71,9 +89,13 @@ class EkTable:
     disc: Discriminant
     base: int
     entries: tuple[int, ...]
-    boundaries: tuple[Fraction, ...]
     pos_counts: tuple[int, ...]
     neg_counts: tuple[int, ...]
+
+    @property
+    def boundaries(self) -> tuple[Fraction, ...]:
+        """The endpoints kN/B for k = 0..B."""
+        return tuple(Fraction(k * self.disc.N, self.base) for k in range(self.base + 1))
 
 
 def _check_coprime_base(disc: Discriminant, base: int) -> None:
@@ -126,65 +148,147 @@ def h_cycle_contribution(period: ExpansionPeriod, char: QuadChar) -> Fraction:
 
 
 def h_theorem1(disc: Discriminant, base: int) -> HResult:
-    """h as the sum of the contributions of all cycles of the base-B map."""
-    _check_coprime_base(disc, base)
-    char = quad_char(disc)
-    total = Fraction(0)
-    for period in all_cycles(base, disc.N).cycles:
-        total += h_cycle_contribution(period, char)
-    if total.denominator != 1:
-        raise InternalError(f"cycle route at D={disc.D}, B={base}: non-integral {total}")
-    h = int(total)
-    if h < 1:
-        raise InternalError(f"cycle route at D={disc.D}, B={base}: got h = {h} <= 0")
-    raw = h * (base - char.eval(base))
-    return HResult(disc, h, f"cycle[B={base}]", raw)
+    """h as the sum of the contributions of all cycles of the base-B map.
 
+    Write a(y) = floor(By/N) for the digit that long division emits at
+    numerator y.  Each cycle C of y -> By mod N contributes
+    -sum_{y in C} chi(y) a(y) / (B - chi(B)) to h, whatever the sign of chi(B):
 
-def h_floor_formula(disc: Discriminant, base: int) -> HResult:
-    """h from -sum chi(x) floor(Bx/N) = (B - chi(B)) h, one term per x."""
+      * chi(B) = +1: chi(By) = chi(y), so chi is constant on C and the sum is
+        chi(C) times the plain digit sum, as in h_cycle_contribution.
+      * chi(B) = -1: chi(By) = -chi(y), so chi alternates around
+        C = (y_0, y_1, ...), chi(y_i) = (-1)^i chi(y_0), and the length e is
+        even.  h_cycle_contribution rotates C to start at a member y_j with
+        chi(y_j) = +1 and takes the alternating digit sum
+            -a(y_j) + a(y_(j+1)) - ... = -sum_i (-1)^i a(y_(j+i))
+                                       = -sum_i chi(y_(j+i)) a(y_(j+i)),
+        which is the same sum over C.  A sum over all of C does not change
+        when C is rotated, so no rotation is needed.
+
+    So the orbits are walked in place, each from its smallest member x, with
+    the seen flags in a bytearray.  The digits are summed as integers,
+    plainly when chi(B) = +1 and in pairs a - b when chi(B) = -1; either sum
+    times -chi(x) is the cycle's numerator, and the total is divided by
+    B - chi(B) once.  Checks, each raising InternalError: every orbit closes
+    after e = multiplicative_order(B, N) steps, the f orbits satisfy
+    f e = phi(N), and the division is exact with a positive quotient.
+    """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
     vals = char.values()
     n = disc.N
+    s = char.eval(base)
+    e = multiplicative_order(base, n)
+    where = f"cycle[B={base}] at D={disc.D}"
+    if s == -1 and e % 2:
+        raise InternalError(f"{where}: chi(B) = -1 needs an even period, got {e}")
+    # Non-units start out seen, so find(0) lands only on unvisited units.
+    seen = char.nonunit_flags()
+    find = seen.find
     raw = 0
-    for x in range(1, n):
-        c = vals[x]
-        if c:
-            raw -= c * (base * x // n)
-    return _exact_h(disc, raw, base - char.eval(base), f"floor[B={base}]", raw)
+    f = 0
+    x = find(0)
+    while x > 0:
+        y = x
+        t = 0
+        if s == 1:
+            for _ in range(e):
+                seen[y] = 1
+                y *= base
+                a = y // n
+                y -= a * n
+                t += a
+        else:
+            for _ in range(e // 2):
+                seen[y] = 1
+                y *= base
+                a = y // n
+                y -= a * n
+                seen[y] = 1
+                y *= base
+                b = y // n
+                y -= b * n
+                t += a - b
+        if y != x:
+            raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
+        raw -= vals[x] * t
+        f += 1
+        x = find(0, x + 1)
+    if f * e != euler_phi(n):
+        raise InternalError(f"{where}: cycle count {f} * length {e} != phi({n})")
+    return _exact_h(disc, raw, base - s, f"cycle[B={base}]", raw)
 
 
-def ek_table(disc: Discriminant, base: int) -> EkTable:
-    """Tabulate E_k, sign counts and exact endpoints for all B subintervals.
+def cut_totals(disc: Discriminant, base: int, ks: Iterable[int]) -> list[int]:
+    """P(floor(kN/B)) for each k in ks: the total of chi over 0 < x <= kN/B.
+
+    Every interval identity reads the character through here, at O(1) per
+    cut.  A cut kN/B that is an integer x with chi(x) != 0 would put x on
+    both sides of it, so it raises InternalError.  With gcd(B, N) = 1 no
+    interior cut is an integer; the quarter point N/4 of an even D is one,
+    with chi(N/4) = 0.
+    """
+    char = quad_char(disc)
+    vals = char.values()
+    prefix = char.prefix()
+    n = disc.N
+    out = []
+    for k in ks:
+        t, r = divmod(k * n, base)
+        if r == 0 and vals[t]:
+            raise InternalError(
+                f"integral endpoint {k}*{n}/{base} at D={disc.D} with chi = {vals[t]}"
+            )
+        out.append(prefix[t])
+    return out
+
+
+def _subinterval_totals(disc: Discriminant, base: int) -> tuple[int, ...]:
+    """E_0..E_{B-1}: the character totals of the B subintervals.
 
     gcd(B, N) = 1 keeps every interior endpoint kN/B non-integral, so the
     k-th subinterval holds exactly the integers floor(kN/B) < x <= floor((k+1)N/B)
     (the top endpoint x = N carries chi = 0 and changes nothing).
     """
     _check_coprime_base(disc, base)
+    p = cut_totals(disc, base, range(base + 1))
+    return tuple(b - a for a, b in zip(p, p[1:]))
+
+
+def h_floor_formula(disc: Discriminant, base: int) -> HResult:
+    """h from -sum chi(x) floor(Bx/N) = (B - chi(B)) h.
+
+    floor(Bx/N) = k exactly on the k-th subinterval, so the sum is -sum k E_k.
+    """
+    entries = _subinterval_totals(disc, base)
+    raw = -sum(k * e for k, e in enumerate(entries))
+    s = quad_char(disc).eval(base)
+    return _exact_h(disc, raw, base - s, f"floor[B={base}]", raw)
+
+
+def ek_table(disc: Discriminant, base: int) -> EkTable:
+    """Tabulate E_k and the sign counts of all B subintervals.
+
+    Of the u_k units in the k-th subinterval, (u_k + E_k)/2 have chi = +1 and
+    (u_k - E_k)/2 have chi = -1.  The number of units in [1, t] is
+    sum mu(d) floor(t/d) over the squarefree divisors d of N.
+    """
+    entries = _subinterval_totals(disc, base)
     n = disc.N
-    for k in range(1, base):
-        if k * n % base == 0:
-            raise InternalError(f"integral endpoint {k}*{n}/{base}")
-    vals = quad_char(disc).values()
-    cuts = [k * n // base for k in range(base + 1)]
-    entries = []
-    pos = []
-    neg = []
-    for k in range(base):
-        window = vals[cuts[k] + 1 : cuts[k + 1] + 1]
-        entries.append(sum(window))
-        pos.append(window.count(1))
-        neg.append(window.count(-1))
-    boundaries = tuple(Fraction(k * n, base) for k in range(base + 1))
-    return EkTable(disc, base, tuple(entries), boundaries, tuple(pos), tuple(neg))
+    divisors = [(1, 1)]  # (d, mu(d))
+    for p in distinct_prime_factors(n):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    cuts = [sum(mu * (k * n // base // d) for d, mu in divisors) for k in range(base + 1)]
+    units = [b - a for a, b in zip(cuts, cuts[1:])]
+    pos = tuple((u + e) // 2 for u, e in zip(units, entries))
+    neg = tuple((u - e) // 2 for u, e in zip(units, entries))
+    return EkTable(disc, base, entries, pos, neg)
 
 
 def h_from_ek(disc: Discriminant, base: int) -> HResult:
     """h from the half-table identity sum_{k < B/2} (B-1-2k) E_k = (B - chi(B)) h."""
-    table = ek_table(disc, base)
-    raw = sum((base - 1 - 2 * k) * e for k, e in enumerate(table.entries[: base // 2]))
+    entries = _subinterval_totals(disc, base)
+    raw = sum((base - 1 - 2 * k) * e for k, e in enumerate(entries[: base // 2]))
     s = quad_char(disc).eval(base)
     return _exact_h(disc, raw, base - s, f"interval[B={base}]", raw)
 
@@ -199,9 +303,9 @@ def h_from_ek_factored(disc: Discriminant, base: int, b1: int) -> HResult:
     """
     if b1 < 2 or b1 > base or base % b1:
         raise InvalidFactorizationError(f"B1={b1} does not factor B={base}")
-    table = ek_table(disc, base)
+    entries = _subinterval_totals(disc, base)
     b2 = base // b1
-    blocks = [sum(table.entries[j * b2 : (j + 1) * b2]) for j in range(b1)]
+    blocks = [sum(entries[j * b2 : (j + 1) * b2]) for j in range(b1)]
     raw = sum((b1 - 1 - 2 * j) * e for j, e in enumerate(blocks[: b1 // 2]))
     s1 = quad_char(disc).eval(b1)
     return _exact_h(disc, raw, b1 - s1, f"factored[B={base},B1={b1}]", raw)

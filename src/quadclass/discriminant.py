@@ -13,16 +13,25 @@ splits over the case of D:
 with chi4, chi8 the characters mod 4 and 8 on odd arguments.  D = -3 and
 D = -4 are excluded throughout: their extra units break the class number
 identities this package checks.
+
+QuadChar holds the kernel every class number route shares: the table of
+chi_D over one period, built once per D as a product of periodic rows, and
+the prefix sums of chi_D, built on the first interval query.  quad_char
+caches one QuadChar per D.
 """
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import accumulate
+from math import gcd
+from operator import mul
 
-from .arith import is_squarefree, jacobi
+from .arith import distinct_prime_factors, is_squarefree, jacobi
 from .errors import (
     ExcludedDiscriminantError,
+    InternalError,
     InvalidGeneratorError,
     NotFundamentalError,
 )
@@ -118,13 +127,15 @@ def chi8(x: int) -> int:
 class QuadChar:
     """The quadratic character chi_D, evaluated pointwise or tabulated.
 
-    Instances are immutable apart from a lazily built value table; they are
-    safe to share.  Use quad_char(disc) to get the cached instance.
+    Instances are immutable apart from lazily built tables, which callers
+    must not modify; they are safe to share.  Use quad_char(disc) to get the
+    cached instance.
     """
 
     def __init__(self, disc: Discriminant):
         self.disc = disc
-        self._values: tuple[int, ...] | None = None
+        self._values: array | None = None
+        self._prefix: array | None = None
 
     def __repr__(self) -> str:
         return f"QuadChar(D={self.disc.D})"
@@ -147,28 +158,66 @@ class QuadChar:
 
     __call__ = eval
 
-    def values(self) -> tuple[int, ...]:
-        """Table (chi(0), chi(1), ..., chi(N)); chi(0) = 0, chi(N) = 0.
+    def values(self) -> array:
+        """Table (chi(0), chi(1), ..., chi(N)) as array('b'); chi(0) = chi(N) = 0.
 
-        Built once per instance with a smallest-prime-factor sieve so only
-        primes pay for a Jacobi evaluation; composites fill in by complete
-        multiplicativity.
+        Built once per instance as the elementwise product of periodic rows:
+        the Legendre row of each odd prime p dividing m, which is the Jacobi
+        symbol (x / |odd part of m|) factored by prime, times the row of
+        chi4, chi8 or chi4 chi8 for even D.  Rows with coprime periods q and
+        p combine into one row of period q p, which ends at period N.
         """
         if self._values is None:
             n = self.disc.N
-            spf = list(range(n + 1))
-            for p in range(2, isqrt(n) + 1):
-                if spf[p] == p:
-                    for q in range(p * p, n + 1, p):
-                        if spf[q] == q:
-                            spf[q] = p
-            vals = [0] * (n + 1)
-            vals[1] = 1
-            for x in range(2, n + 1):
-                p = spf[x]
-                vals[x] = vals[p] * vals[x // p] if p < x else self.eval(x)
-            self._values = tuple(vals)
+            row = array("b", _TWO_ROWS[self.disc.case])
+            for p in distinct_prime_factors(n):
+                if p > 2:
+                    q = len(row)
+                    leg = _legendre_row(p)
+                    row = leg if q == 1 else array("b", map(mul, row * p, leg * q))
+            if len(row) != n:
+                raise InternalError(f"character row of period {len(row)} at D={self.disc.D}")
+            row.append(0)  # chi(N) = chi(0)
+            self._values = row
         return self._values
+
+    def prefix(self) -> array:
+        """P(t) = chi(0) + ... + chi(t) for t in [0, N], as a typed array.
+
+        Every interval total of the character is a difference of two entries.
+        Built on the first call rather than with values(), so a caller that
+        needs only the table does not hold a second one.
+        """
+        if self._prefix is None:
+            self._prefix = array("i", accumulate(self.values()))
+        return self._prefix
+
+    def nonunit_flags(self) -> bytearray:
+        """A new bytearray f of length N + 1 with f[x] = 1 exactly when chi(x) = 0."""
+        return bytearray(self.values().tobytes().translate(_NONUNIT))
+
+
+# One period of chi4, chi8 or chi4 chi8 for even D; odd D starts from the
+# constant row of period 1.
+_TWO_ROWS = {
+    Case.ODD: array("b", [1]),
+    Case.D1: array("b", [0, 1, 0, -1]),
+    Case.D2: array("b", [0, 1, 0, -1, 0, -1, 0, 1]),
+    Case.D3: array("b", [0, 1, 0, 1, 0, -1, 0, -1]),
+}
+
+
+# values().tobytes() holds chi(x) as one byte, 0 exactly when chi(x) = 0.
+_NONUNIT = bytes([1]) + bytes(255)
+
+
+def _legendre_row(p: int) -> array:
+    """(x / p) for x in [0, p): +1 on the nonzero squares, -1 elsewhere, 0 at 0."""
+    row = array("b", [-1]) * p
+    row[0] = 0
+    for i in range(1, (p + 1) // 2):
+        row[i * i % p] = 1
+    return row
 
 
 @lru_cache(maxsize=64)

@@ -7,13 +7,15 @@ sum equals h outright, and when 3 does not divide D the sixth/quarter pair
 (S1, S2) is (h, 0) or (0, h) according to D mod 3.
 
 Each check_* function recomputes the relevant table entries and compares
-them against the closed form, reporting both sides.
+them against the closed form, reporting both sides.  Every sum here is read
+off the character's prefix sums at cut points (classnum.cut_totals), so none
+makes a pass over x.
 """
 
 from dataclasses import dataclass
 
-from .classnum import HResult, ek_table, h_dirichlet
-from .discriminant import Case, Discriminant, quad_char
+from .classnum import HResult, cut_totals, ek_table, h_dirichlet
+from .discriminant import Case, Discriminant
 from .errors import DivisibleByThreeError, InternalError, WrongParityError
 
 __all__ = [
@@ -146,8 +148,7 @@ def h_abs_sixth(disc: Discriminant) -> HResult:
     """Odd D coprime to 6: h = |sum of chi(x) over 0 < x < N/6|."""
     _require_odd(disc)
     _require_coprime_to_3(disc)
-    vals = quad_char(disc).values()
-    raw = sum(vals[1 : disc.N // 6 + 1])
+    (raw,) = cut_totals(disc, 6, (1,))
     if raw == 0:
         raise InternalError(f"sixth-interval sum vanished at D={disc.D}")
     return HResult(disc, abs(raw), "sixth", raw)
@@ -177,8 +178,7 @@ def check_b12(disc: Discriminant, h: int, e0: int) -> TheoremCheck:
 def h_quarter_sum(disc: Discriminant) -> HResult:
     """Even D: h = sum of chi(x) over 0 < x < N/4, with no sign ambiguity."""
     _require_even(disc)
-    vals = quad_char(disc).values()
-    raw = sum(vals[1 : disc.N // 4])  # x = N/4 itself has chi = 0
+    (raw,) = cut_totals(disc, 4, (1,))  # x = N/4 itself has chi = 0
     if raw < 1:
         raise InternalError(f"quarter sum {raw} < 1 at D={disc.D}")
     return HResult(disc, raw, "quarter", raw)
@@ -192,10 +192,8 @@ def check_s1_s2(disc: Discriminant) -> TheoremCheck:
     """
     _require_even(disc)
     _require_coprime_to_3(disc)
-    vals = quad_char(disc).values()
-    u = disc.N // 6
-    s1 = sum(vals[1 : u + 1])
-    s2 = sum(vals[u + 1 : disc.N // 4])
+    s1, quarter = cut_totals(disc, 12, (2, 3))  # P(N/6), P(N/4)
+    s2 = quarter - s1
     h = h_dirichlet(disc).h
     want = (h, 0) if disc.D % 3 == 1 else (0, h)
     return _compare(

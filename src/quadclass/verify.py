@@ -120,7 +120,11 @@ def _failed_record(disc: Discriminant, message: str) -> DiscriminantRecord:
 
 
 def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> DiscriminantRecord:
-    """Run every route and every applicable closed-form check for one D."""
+    """Run every route and every applicable closed-form check for one D.
+
+    D must be a fundamental discriminant.  An exception raised by any route
+    or check becomes a FAIL record whose error names it.
+    """
     disc = from_discriminant(D)
     try:
         h = h_dirichlet(disc).h
@@ -171,6 +175,10 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
         )
     except InternalError as exc:
         return _failed_record(disc, str(exc))
+    except Exception as exc:
+        # Any other failure is a bug in one route too; it costs this D its
+        # record, never the rest of the sweep.
+        return _failed_record(disc, f"{type(exc).__name__}: {exc}")
 
 
 def verify_range(

@@ -2,7 +2,7 @@
 
 Each oracle computes the same quantity as the library through a different
 algorithm (reduced-form counting, Kronecker symbols, repeat-detection long
-division, direct binning), so agreement is meaningful.
+division, direct binning, per-x floor sums), so agreement is meaningful.
 """
 
 from sympy import factorint
@@ -86,6 +86,11 @@ def ek_by_binning(vals, n: int, base: int):
         else:
             neg[k] += 1
     return entries, pos, neg
+
+
+def floor_sum_by_x(vals, n: int, base: int) -> int:
+    """-sum of chi(x) floor(base*x/n) over x in [1, n), one term per x."""
+    return -sum(vals[x] * (base * x // n) for x in range(1, n))
 
 
 def digits_value(digits, base: int) -> int:

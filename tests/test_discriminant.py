@@ -136,13 +136,17 @@ class TestCharacter:
                 assert chi(disc, x) == chi_kronecker(disc.D, x), (disc.D, x)
 
     def test_table_matches_pointwise_eval(self):
-        for disc in fundamentals_with_n_up_to(300):
+        # The row-product table against the Jacobi-symbol eval, in every Case.
+        cases = set()
+        for disc in fundamentals_with_n_up_to(3000):
             char = quad_char(disc)
             vals = char.values()
             assert len(vals) == disc.N + 1
             assert vals[0] == 0 and vals[disc.N] == 0
             for x in range(disc.N + 1):
-                assert vals[x] == char.eval(x)
+                assert vals[x] == char.eval(x), (disc.D, x)
+            cases.add(disc.case)
+        assert cases == set(Case)
 
     def test_chi_at_minus_one(self):
         for disc in fundamentals_with_n_up_to(500):

@@ -180,6 +180,32 @@ class TestFailurePath:
         assert "FAIL" in text and "interval_B3" in text
         assert "first failure: D=-23" in text
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_route_exception_is_a_fail_record(self, monkeypatch, capsys, jobs, error):
+        import quadclass.verify as V
+        from quadclass.cli import main
+
+        real = V.h_floor_formula
+
+        def broken(disc, base):
+            if disc.D == -23 and base == 3:
+                raise error("injected")
+            return real(disc, base)
+
+        # With jobs=2 the pool's workers are forked, so they see the patch too.
+        monkeypatch.setattr(V, "h_floor_formula", broken)
+        report = verify_range(-40, -5, bases=(2, 3), jobs=jobs)
+        assert len(report.records) == 12
+        bad = [r for r in report.records if not r.passed]
+        assert [r.D for r in bad] == [-23]
+        assert bad[0].error.startswith(error.__name__), bad[0].error
+        assert main(["verify", "--from", "-40", "--to", "-5", "-B", "2", "-B", "3",
+                     "--jobs", str(jobs)]) == 1
+        out = capsys.readouterr().out
+        assert f"error: {error.__name__}" in out
+        assert "11 passed, 1 failed" in out
+
 
 def test_default_bases():
     assert DEFAULT_BASES == tuple(range(2, 14))
