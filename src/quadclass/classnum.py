@@ -12,17 +12,21 @@ digits, evaluated in exact integer (or rational) arithmetic:
 
 The routes share one kernel: the character table of discriminant.QuadChar,
 built once per D.  The cycle route walks the orbits of x -> Bx mod N over
-it in place (h_theorem1).  Every interval quantity, here and in theorems,
-is a difference of the prefix sums P(t) = sum_{x <= t} chi(x) at cut points
-floor(kN/B), read through cut_totals, so it costs O(B) per base rather than
-a pass over x.  Only h_dirichlet, the reference route, sums over x itself.
+it in place (h_theorem1), with long division over only half of the
+residues: the reflection x -> N - x negates chi and complements every
+digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
+(Midy's theorem, generalised).  The girstmair route is its one-orbit case.
+Every interval quantity, here and in theorems, is a difference of the
+prefix sums P(t) = sum_{x <= t} chi(x) at cut points floor(kN/B), read
+through cut_totals, so it costs O(B) per base rather than a pass over x.
+Only h_dirichlet, the reference route, sums over x itself.
 
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
 """
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -35,7 +39,13 @@ from .arith import (
     least_primitive_root,
     multiplicative_order,
 )
-from .discriminant import Discriminant, QuadChar, from_discriminant, quad_char
+from .discriminant import (
+    Discriminant,
+    QuadChar,
+    check_size,
+    from_discriminant,
+    quad_char,
+)
 from .errors import (
     ExcludedDiscriminantError,
     InternalError,
@@ -43,8 +53,9 @@ from .errors import (
     NotCoprimeError,
     WrongParityError,
 )
-# all_cycles stays importable from here, next to h_cycle_contribution:
-# summing the one over the other is the reference h_theorem1 is tested against.
+# all_cycles and expand stay importable from here, next to
+# h_cycle_contribution: summing the one over the other is the full-digit
+# reference h_theorem1 and h_girstmair are tested against.
 from .expansion import all_cycles, expand, normalize_cycle, ExpansionPeriod
 
 __all__ = [
@@ -165,13 +176,35 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         which is the same sum over C.  A sum over all of C does not change
         when C is rotated, so no rotation is needed.
 
-    So the orbits are walked in place, each from its smallest member x, with
-    the seen flags in a bytearray.  The digits are summed as integers,
-    plainly when chi(B) = +1 and in pairs a - b when chi(B) = -1; either sum
-    times -chi(x) is the cycle's numerator, and the total is divided by
-    B - chi(B) once.  Checks, each raising InternalError: every orbit closes
-    after e = multiplicative_order(B, N) steps, the f orbits satisfy
-    f e = phi(N), and the division is exact with a positive quotient.
+    Only half of each sum needs long division.  The reflection y -> N - y
+    maps the cycle of y onto the cycle -C of N - y, since B(N - y) = -By
+    (mod N), and it complements the digits and negates the character:
+
+        a(N - y) = B - 1 - a(y)   (By/N is never an integer),
+        chi(N - y) = -chi(y)      (chi(-1) = -1).
+
+    So chi(y) a(y) + chi(N - y) a(N - y) = chi(y) (2 a(y) - (B - 1)), and a
+    cycle and its reflection together contribute
+    -sum_{y in C} chi(y) (2 a(y) - (B - 1)).  Either -C is another cycle or
+    -C = C, and the second holds for every cycle at once, exactly when
+    -1 = B^(e/2) (mod N) with e = multiplicative_order(B, N) even:
+
+      * -C != C: walk all e members of C from x; the sum above is the
+        numerator of C and -C together, two cycles.
+      * -C = C: y_(i + e/2) = N - y_i, so the sum over the first half
+        y_0 .. y_(e/2 - 1) of the walk is the numerator of C, one cycle.
+        chi(B)^(e/2) = chi(-1) = -1, so chi(B) = -1 and e/2 is odd.
+
+    With chi(y_i) = chi(B)^i chi(x) and t the digit sum signed by chi(B)^i,
+    the walk of w steps gives -chi(x) (2t - (B - 1) sum_{i < w} chi(B)^i),
+    where the last sum is w for chi(B) = +1 and w mod 2 for chi(B) = -1.
+    Each walk starts at the smallest unseen unit x and marks y and N - y
+    seen, with the flags in a bytearray; the digits are summed as
+    integers, in pairs a - b when chi(B) = -1; the total is divided by
+    B - chi(B) once.  Checks, each raising InternalError: chi(B) = -1 needs
+    e even; -1 a power of B needs chi(B) = -1 and e/2 odd; each walk lands
+    on x (on N - x when -C = C); the f cycles satisfy f e = phi(N); the
+    division is exact with a positive quotient.
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -182,6 +215,14 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     where = f"cycle[B={base}] at D={disc.D}"
     if s == -1 and e % 2:
         raise InternalError(f"{where}: chi(B) = -1 needs an even period, got {e}")
+    half = e // 2
+    self_paired = e % 2 == 0 and pow(base, half, n) == n - 1
+    if self_paired and s == 1:
+        raise InternalError(f"{where}: B^{half} = -1 (mod {n}) with chi(B) = +1")
+    if self_paired and half % 2 == 0:
+        raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
+    steps = half if self_paired else e
+    sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
     # Non-units start out seen, so find(0) lands only on unvisited units.
     seen = char.nonunit_flags()
     find = seen.find
@@ -192,27 +233,33 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         y = x
         t = 0
         if s == 1:
-            for _ in range(e):
-                seen[y] = 1
+            for _ in range(steps):
+                seen[y] = seen[n - y] = 1
                 y *= base
                 a = y // n
                 y -= a * n
                 t += a
         else:
-            for _ in range(e // 2):
-                seen[y] = 1
+            for _ in range(steps // 2):
+                seen[y] = seen[n - y] = 1
                 y *= base
                 a = y // n
                 y -= a * n
-                seen[y] = 1
+                seen[y] = seen[n - y] = 1
                 y *= base
                 b = y // n
                 y -= b * n
                 t += a - b
-        if y != x:
+            if steps % 2:
+                seen[y] = seen[n - y] = 1
+                y *= base
+                a = y // n
+                y -= a * n
+                t += a
+        if y != (n - x if self_paired else x):
             raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
-        raw -= vals[x] * t
-        f += 1
+        raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
+        f += 1 if self_paired else 2
         x = find(0, x + 1)
     if f * e != euler_phi(n):
         raise InternalError(f"{where}: cycle count {f} * length {e} != phi({n})")
@@ -316,8 +363,11 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
 
     When B is a primitive root mod p the residues coprime to p form a single
     cycle, so (B+1) h is the alternating digit sum of the period of 1/p.
-    With no base given the least primitive root is used.
+    With no base given the least primitive root is used.  That cycle is the
+    one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
+    walk takes (p - 1)/2 steps and the reflection supplies the other digits.
     """
+    check_size(p)
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p % 4 != 3:
@@ -329,11 +379,10 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     elif base < 2 or not is_primitive_root(base, p):
         raise ValueError(f"B={base} is not a primitive root mod {p}")
     disc = from_discriminant(-p)
-    period = expand(1, base, p)
-    if period.e != p - 1:
-        raise InternalError(f"primitive root {base} mod {p} gave period {period.e}")
-    raw = alternating_digit_sum(period.digits)
-    return _exact_h(disc, raw, base + 1, f"girstmair[B={base}]", raw)
+    e = multiplicative_order(base, p)
+    if e != p - 1:
+        raise InternalError(f"primitive root {base} mod {p} gave period {e}")
+    return replace(h_theorem1(disc, base), method=f"girstmair[B={base}]")
 
 
 def xi(x: int, n: int) -> int:

@@ -26,7 +26,7 @@ from .classnum import (
     h_girstmair,
     h_theorem1,
 )
-from .discriminant import from_discriminant, quad_char
+from .discriminant import check_size, from_discriminant, quad_char
 from .errors import InternalError
 from .expansion import expand, normalize_cycle
 from .verify import DEFAULT_BASES, to_csv, to_json, to_text, verify_range
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expansion base, repeatable (default: 2..13)")
     v.add_argument("--format", choices=("text", "csv", "json"), default="text")
     v.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1)")
+                   help="worker processes (default 1, at most the CPU count)")
     v.set_defaults(func=cmd_verify)
 
     return parser
@@ -128,6 +128,7 @@ def cmd_expand(args) -> int:
         n = disc.N
     else:
         n = args.modulus
+        check_size(n)
     period = expand(args.numerator, args.base, n)
     cycles = euler_phi(n) // period.e
     print(f"{period.x1}/{n} in base {args.base}: period e = {period.e}, "
@@ -162,8 +163,9 @@ def cmd_ek(args) -> int:
 
 
 def cmd_girstmair(args) -> int:
+    # h_girstmair validates p (size first) before anything else touches it.
+    result = h_girstmair(args.p, args.base)
     base = args.base if args.base is not None else least_primitive_root(args.p)
-    result = h_girstmair(args.p, base)
     period = expand(1, base, args.p)
     print(f"p = {args.p}, D = {-args.p}, base {base} (primitive root), "
           f"period e = {period.e}")

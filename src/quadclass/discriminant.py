@@ -33,10 +33,13 @@ from .errors import (
     ExcludedDiscriminantError,
     InternalError,
     InvalidGeneratorError,
+    ModulusTooLargeError,
     NotFundamentalError,
 )
 
 __all__ = [
+    "MAX_N",
+    "check_size",
     "Case",
     "Discriminant",
     "from_generator",
@@ -47,6 +50,20 @@ __all__ = [
     "quad_char",
     "chi",
 ]
+
+
+# The largest N = |D| accepted.  Every route builds tables of N + 1 entries
+# (the character as one byte each, its prefix sums as four), and the sweep
+# cost grows with N, so a larger N is refused before any table exists.  It
+# leaves room above D = -1000003, the largest single discriminant the
+# project's performance goals name.
+MAX_N = 10**7
+
+
+def check_size(n: int) -> None:
+    """Raise ModulusTooLargeError when the modulus n exceeds MAX_N."""
+    if n > MAX_N:
+        raise ModulusTooLargeError(f"N={n} exceeds the limit MAX_N={MAX_N}")
 
 
 class Case(Enum):
@@ -75,6 +92,7 @@ def from_generator(m: int) -> Discriminant:
     """Discriminant of the field generated by sqrt(m), m < 0 squarefree."""
     if m >= 0:
         raise InvalidGeneratorError(f"need m < 0, got {m}")
+    check_size(-m if m % 4 == 1 else -4 * m)
     if not is_squarefree(-m):
         raise InvalidGeneratorError(f"{m} is not squarefree")
     if m in (-1, -3):
@@ -94,6 +112,7 @@ def from_discriminant(D: int) -> Discriminant:
         raise ExcludedDiscriminantError(f"D={D} is excluded (extra units)")
     if D >= -4:
         raise NotFundamentalError(f"need D < -4, got {D}")
+    check_size(-D)
     if D % 4 == 1:
         if not is_squarefree(-D):
             raise NotFundamentalError(f"D={D} is not squarefree")

@@ -23,6 +23,10 @@ class ExcludedDiscriminantError(ValueError):
     """D is -3 or -4, where extra units make the class number formulas differ."""
 
 
+class ModulusTooLargeError(ValueError):
+    """N = |D| exceeds discriminant.MAX_N, above which no table is built."""
+
+
 class InvalidGeneratorError(ValueError):
     """m does not generate a field: m >= 0 or m not squarefree."""
 

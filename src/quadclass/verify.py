@@ -10,6 +10,7 @@ JSON reports; the run passes only if every record agrees everywhere.
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .classnum import (
     h_from_ek_factored,
     h_theorem1,
 )
-from .discriminant import Case, Discriminant, from_discriminant
+from .discriminant import Case, Discriminant, check_size, from_discriminant
 from .errors import ExcludedDiscriminantError, InternalError, NotFundamentalError
 from .theorems import (
     check_b2,
@@ -187,12 +188,16 @@ def verify_range(
     """Verify every fundamental discriminant in [lo, hi], hi first.
 
     Records are deterministic for a fixed range and base list regardless of
-    jobs; only elapsed time varies.
+    jobs; only elapsed time varies.  jobs is capped at os.cpu_count(): more
+    workers than cores share the cores and only add start-up cost.  A range
+    reaching below -MAX_N is refused before anything is enumerated.
     """
     if lo > hi:
         raise ValueError(f"empty range: from {lo} to {hi}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_size(-lo)
+    jobs = min(jobs, os.cpu_count() or 1)
     bases = tuple(sorted(set(bases)))
     if not bases:
         raise ValueError("need at least one base")

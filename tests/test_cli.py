@@ -197,6 +197,58 @@ class TestVerify:
         assert "first failure: D=-23" in out
 
 
+    def test_wrong_route_fails_by_identity(self, capsys, monkeypatch):
+        import quadclass.verify as V
+
+        real = V.h_floor_formula
+
+        def skewed(disc, base):
+            res = real(disc, base)
+            if disc.D == -23:
+                return type(res)(res.disc, res.h + 1, res.method, res.raw_sum)
+            return res
+
+        monkeypatch.setattr(V, "h_floor_formula", skewed)
+        assert main(["verify", "--from", "-40", "--to", "-5"]) == 1
+        rows = [line for line in capsys.readouterr().out.splitlines() if "D=-23 " in line]
+        assert len(rows) == 1 and rows[0].startswith("FAIL")
+        assert "floor_B2" in rows[0] and "floor_B13" in rows[0]
+        assert "cycle_B" not in rows[0]
+        assert main(["verify", "--from", "-40", "--to", "-5", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failed = [r for r in payload["records"] if not r["passed"]]
+        assert [(r["D"], r["floor_B2"], r["cycle_B2"]) for r in failed] == [(-23, 4, 3)]
+
+
+class TestTooLarge:
+    def test_classnum(self, capsys, monkeypatch):
+        from quadclass.discriminant import MAX_N, QuadChar
+
+        monkeypatch.setattr(QuadChar, "values", None)  # no table may be built
+        assert main(["classnum", "-D", str(-MAX_N - 1)]) == 2
+        assert f"MAX_N={MAX_N}" in capsys.readouterr().err
+
+    def test_verify(self, capsys, monkeypatch):
+        import quadclass.verify as V
+        from quadclass.discriminant import MAX_N
+
+        def refuse(lo, hi):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(V, "fundamental_discriminants", refuse)
+        assert main(["verify", "--from", str(-MAX_N - 1), "--to", "-5"]) == 2
+        assert "MAX_N" in capsys.readouterr().err
+
+    def test_girstmair_and_expand(self, capsys):
+        from quadclass.discriminant import MAX_N
+
+        big = 10**40 + 3  # far past what trial division could test for primality
+        assert main(["girstmair", str(big)]) == 2
+        assert main(["expand", "-N", str(big), "-B", "10"]) == 2
+        assert main(["expand", "-D", str(-MAX_N - 1), "-B", "10"]) == 2
+        assert capsys.readouterr().err.count("MAX_N") == 3
+
+
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

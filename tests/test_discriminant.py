@@ -2,6 +2,7 @@ import pytest
 from math import gcd
 
 from quadclass.discriminant import (
+    MAX_N,
     Case,
     chi,
     chi4,
@@ -13,6 +14,7 @@ from quadclass.discriminant import (
 from quadclass.errors import (
     ExcludedDiscriminantError,
     InvalidGeneratorError,
+    ModulusTooLargeError,
     NotFundamentalError,
 )
 
@@ -83,6 +85,20 @@ class TestFromGenerator:
             except (InvalidGeneratorError, ExcludedDiscriminantError):
                 continue
             assert from_discriminant(disc.D) == disc
+
+
+class TestSizeLimit:
+    def test_limit_is_on_n_and_comes_first(self):
+        assert MAX_N == 10**7
+        assert from_discriminant(-1000003).N == 1000003
+        # -(MAX_N + 1) = 3 (mod 4) is no discriminant, but the size is checked first.
+        with pytest.raises(ModulusTooLargeError, match="MAX_N"):
+            from_discriminant(-MAX_N - 1)
+        with pytest.raises(ModulusTooLargeError):
+            from_generator(-2500002)  # N = 4 * 2500002 > MAX_N
+        with pytest.raises(InvalidGeneratorError):
+            from_generator(-9999999)  # N = 9999999 <= MAX_N, not squarefree
+        assert issubclass(ModulusTooLargeError, ValueError)
 
 
 class TestChi4Chi8:

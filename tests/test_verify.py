@@ -109,6 +109,38 @@ class TestVerifyRange:
         with pytest.raises(ValueError):
             verify_range(-100, -5, jobs=0)
 
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        import quadclass.verify as V
+
+        made = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(V, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+        report = verify_range(-40, -5, bases=(2, 3), jobs=10**6)
+        assert made == [2] and len(report.records) == 12 and report.ok
+
+        def refuse(max_workers):
+            raise AssertionError(f"pool of {max_workers} started on one core")
+
+        monkeypatch.setattr(V, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(V.os, "cpu_count", lambda: 1)
+        assert verify_range(-40, -5, bases=(2, 3), jobs=10**6).records == report.records
+
     def test_range_with_no_fundamentals(self):
         report = verify_range(-6, -5, bases=(2,))
         assert report.records == [] and report.ok
