@@ -9,15 +9,11 @@ closed forms for the subinterval totals at small bases.
 
 from .arith import (
     euler_phi,
-    gcd,
     is_prime,
     is_primitive_root,
     is_squarefree,
-    jacobi,
     least_primitive_root,
-    mod_pow,
     multiplicative_order,
-    residue_rep,
 )
 from .classnum import (
     EkTable,
@@ -39,9 +35,6 @@ from .discriminant import (
     Case,
     Discriminant,
     QuadChar,
-    chi,
-    chi4,
-    chi8,
     from_discriminant,
     from_generator,
     quad_char,
@@ -52,7 +45,6 @@ from .expansion import (
     all_cycles,
     digit_closed_form,
     expand,
-    lda_step,
     normalize_cycle,
 )
 from .theorems import (

@@ -1,22 +1,18 @@
 """Elementary number-theoretic helpers.
 
 Everything here is exact integer arithmetic; no floats anywhere.  These are
-the primitives the character, expansion and class number layers sit on.
+the primitives the character, expansion and class number layers sit on:
+trial division, multiplicative orders and primitive roots.  The character
+itself is tabulated by discriminant.QuadChar, from Legendre rows.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InternalError, InvalidModulusError, NotCoprimeError
 
 __all__ = [
-    "gcd",
-    "ResidueRep",
-    "residue_rep",
-    "mod_pow",
     "multiplicative_order",
-    "jacobi",
     "distinct_prime_factors",
     "is_squarefree",
     "euler_phi",
@@ -24,34 +20,6 @@ __all__ = [
     "is_primitive_root",
     "least_primitive_root",
 ]
-
-
-@dataclass(frozen=True)
-class ResidueRep:
-    """Canonical representative of z mod N taken in [1, N] rather than [0, N-1].
-
-    Multiples of N map to N itself, not 0; this keeps representatives inside
-    the window (0, N] that the expansion machinery works on.
-    """
-
-    value: int
-    modulus: int
-
-
-def residue_rep(z: int, n: int) -> ResidueRep:
-    """The unique y in [1, n] with y = z (mod n)."""
-    if n <= 1:
-        raise InvalidModulusError(f"modulus must exceed 1, got {n}")
-    return ResidueRep(z % n or n, n)
-
-
-def mod_pow(b: int, e: int, n: int) -> int:
-    """b**e mod n, reduced into [0, n)."""
-    if n <= 1:
-        raise InvalidModulusError(f"modulus must exceed 1, got {n}")
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    return pow(b, e, n)
 
 
 @lru_cache(maxsize=1024)
@@ -72,27 +40,6 @@ def multiplicative_order(b: int, n: int) -> int:
         while order % p == 0 and pow(b, order // p, n) == 1:
             order //= p
     return order
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a / n) for odd n > 0, via quadratic reciprocity.
-
-    (a / 1) = 1 for every a; the result is 0 exactly when gcd(a, n) > 1.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise InvalidModulusError(f"jacobi needs positive odd n, got {n}")
-    a %= n
-    t = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a  # Reciprocity: both are odd here.
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
 
 
 def distinct_prime_factors(n: int) -> list[int]:

@@ -56,7 +56,7 @@ from .errors import (
 # all_cycles and expand stay importable from here, next to
 # h_cycle_contribution: summing the one over the other is the full-digit
 # reference h_theorem1 and h_girstmair are tested against.
-from .expansion import all_cycles, expand, normalize_cycle, ExpansionPeriod
+from .expansion import ExpansionPeriod, _check_numerator, all_cycles, expand, normalize_cycle
 
 __all__ = [
     "HResult",
@@ -332,30 +332,31 @@ def ek_table(disc: Discriminant, base: int) -> EkTable:
     return EkTable(disc, base, entries, pos, neg)
 
 
-def h_from_ek(disc: Discriminant, base: int) -> HResult:
-    """h from the half-table identity sum_{k < B/2} (B-1-2k) E_k = (B - chi(B)) h."""
-    entries = _subinterval_totals(disc, base)
-    raw = sum((base - 1 - 2 * k) * e for k, e in enumerate(entries[: base // 2]))
-    s = quad_char(disc).eval(base)
-    return _exact_h(disc, raw, base - s, f"interval[B={base}]", raw)
-
-
-def h_from_ek_factored(disc: Discriminant, base: int, b1: int) -> HResult:
+def _half_table(disc: Discriminant, base: int, b1: int, method: str) -> HResult:
     """h from the fine E_k(B) regrouped into B1 blocks, B = B1 * B2.
 
     Summing E_k(B) over each block of B2 consecutive fine intervals gives
     the coarse totals E_j(B1); the half-table identity then runs at B1:
-    sum_{j < B1/2} (B1-1-2j) E_j = (B1 - chi(B1)) h.  B1 = B is allowed and
-    degenerates to the unfactored identity.
+    sum_{j < B1/2} (B1-1-2j) E_j = (B1 - chi(B1)) h.  B1 = B is the
+    unfactored identity, with blocks of one interval.
     """
-    if b1 < 2 or b1 > base or base % b1:
-        raise InvalidFactorizationError(f"B1={b1} does not factor B={base}")
     entries = _subinterval_totals(disc, base)
     b2 = base // b1
-    blocks = [sum(entries[j * b2 : (j + 1) * b2]) for j in range(b1)]
-    raw = sum((b1 - 1 - 2 * j) * e for j, e in enumerate(blocks[: b1 // 2]))
+    raw = sum((b1 - 1 - 2 * j) * sum(entries[j * b2 : (j + 1) * b2]) for j in range(b1 // 2))
     s1 = quad_char(disc).eval(b1)
-    return _exact_h(disc, raw, b1 - s1, f"factored[B={base},B1={b1}]", raw)
+    return _exact_h(disc, raw, b1 - s1, method, raw)
+
+
+def h_from_ek(disc: Discriminant, base: int) -> HResult:
+    """h from the half-table identity sum_{k < B/2} (B-1-2k) E_k = (B - chi(B)) h."""
+    return _half_table(disc, base, base, f"interval[B={base}]")
+
+
+def h_from_ek_factored(disc: Discriminant, base: int, b1: int) -> HResult:
+    """h from the E_k(B) regrouped into B1 blocks, B = B1 * B2; B1 = B is allowed."""
+    if b1 < 2 or b1 > base or base % b1:
+        raise InvalidFactorizationError(f"B1={b1} does not factor B={base}")
+    return _half_table(disc, base, b1, f"factored[B={base},B1={b1}]")
 
 
 def h_girstmair(p: int, base: int | None = None) -> HResult:
@@ -387,7 +388,7 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
 
 def xi(x: int, n: int) -> int:
     """The reflection x -> N - x on X; it negates chi."""
-    _check_member(x, n)
+    _check_numerator(x, n)
     return n - x
 
 
@@ -395,7 +396,7 @@ def eta(x: int, n: int) -> int:
     """The half-shift x -> x +/- N/2 on X for even discriminants; negates chi."""
     if n % 4:
         raise WrongParityError(f"eta needs 4 | N (even discriminant), got N={n}")
-    _check_member(x, n)
+    _check_numerator(x, n)
     half = n // 2
     return x + half if x < half else x - half
 
@@ -408,13 +409,6 @@ def lambda_map(x: int, n: int) -> int:
     """
     if n % 4:
         raise WrongParityError(f"lambda_map needs 4 | N (even discriminant), got N={n}")
-    _check_member(x, n)
+    _check_numerator(x, n)
     half = n // 2
     return half - x if x < half else 3 * half - x
-
-
-def _check_member(x: int, n: int) -> None:
-    if not 1 <= x <= n:
-        raise ValueError(f"x={x} outside [1, {n}]")
-    if gcd(x, n) != 1:
-        raise NotCoprimeError(f"gcd({x}, {n}) > 1")

@@ -14,10 +14,13 @@ with chi4, chi8 the characters mod 4 and 8 on odd arguments.  D = -3 and
 D = -4 are excluded throughout: their extra units break the class number
 identities this package checks.
 
-QuadChar holds the kernel every class number route shares: the table of
-chi_D over one period, built once per D as a product of periodic rows, and
-the prefix sums of chi_D, built on the first interval query.  quad_char
-caches one QuadChar per D.
+QuadChar is the one implementation of chi_D and the kernel every class
+number route shares: the table of chi_D over one period, built once per D
+as a product of periodic rows (the Jacobi symbol factored into Legendre
+rows, times the chi4/chi8 row), and the prefix sums of chi_D, built on the
+first interval query.  Single values are read from the table too.  The
+formula above, evaluated pointwise through quadratic reciprocity, is the
+tests' independent oracle.  quad_char caches one QuadChar per D.
 """
 
 from array import array
@@ -25,10 +28,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
 from operator import mul
 
-from .arith import distinct_prime_factors, is_squarefree, jacobi
+from .arith import distinct_prime_factors, is_squarefree
 from .errors import (
     ExcludedDiscriminantError,
     InternalError,
@@ -44,11 +46,8 @@ __all__ = [
     "Discriminant",
     "from_generator",
     "from_discriminant",
-    "chi4",
-    "chi8",
     "QuadChar",
     "quad_char",
-    "chi",
 ]
 
 
@@ -97,13 +96,7 @@ def from_generator(m: int) -> Discriminant:
         raise InvalidGeneratorError(f"{m} is not squarefree")
     if m in (-1, -3):
         raise ExcludedDiscriminantError(f"m={m} gives D in {{-3, -4}}, excluded")
-    if m % 4 == 1:
-        return Discriminant(m, -m, m, Case.ODD)
-    if m % 4 == 3:
-        return Discriminant(4 * m, -4 * m, m, Case.D1)
-    # m even: m = 2n with n odd since m is squarefree.
-    case = Case.D2 if (m // 2) % 4 == 1 else Case.D3
-    return Discriminant(4 * m, -4 * m, m, case)
+    return _classify(m)
 
 
 def from_discriminant(D: int) -> Discriminant:
@@ -116,7 +109,7 @@ def from_discriminant(D: int) -> Discriminant:
     if D % 4 == 1:
         if not is_squarefree(-D):
             raise NotFundamentalError(f"D={D} is not squarefree")
-        return Discriminant(D, -D, D, Case.ODD)
+        return _classify(D)
     if D % 4 != 0:
         raise NotFundamentalError(f"D={D} is neither 1 nor 0 mod 4")
     m = D // 4
@@ -124,31 +117,29 @@ def from_discriminant(D: int) -> Discriminant:
         raise NotFundamentalError(f"D={D} has D/4 = 1 (mod 4), so D/4 is the discriminant")
     if not is_squarefree(-m):
         raise NotFundamentalError(f"D={D} has D/4 not squarefree")
+    return _classify(m)
+
+
+def _classify(m: int) -> Discriminant:
+    """The discriminant generated by m, already checked: m < 0 squarefree, not -1 or -3."""
+    if m % 4 == 1:
+        return Discriminant(m, -m, m, Case.ODD)
     if m % 4 == 3:
-        return Discriminant(D, -D, m, Case.D1)
-    return Discriminant(D, -D, m, Case.D2 if (m // 2) % 4 == 1 else Case.D3)
-
-
-def chi4(x: int) -> int:
-    """Character mod 4: +1 for x = 1 (mod 4), -1 for x = 3 (mod 4)."""
-    if x % 2 == 0:
-        raise ValueError(f"chi4 needs odd x, got {x}")
-    return 1 if x % 4 == 1 else -1
-
-
-def chi8(x: int) -> int:
-    """Character mod 8: +1 for x = +/-1 (mod 8), -1 for x = +/-3 (mod 8)."""
-    if x % 2 == 0:
-        raise ValueError(f"chi8 needs odd x, got {x}")
-    return 1 if x % 8 in (1, 7) else -1
+        case = Case.D1
+    else:
+        # m even: m = 2n with n odd since m is squarefree.
+        case = Case.D2 if (m // 2) % 4 == 1 else Case.D3
+    return Discriminant(4 * m, -4 * m, m, case)
 
 
 class QuadChar:
-    """The quadratic character chi_D, evaluated pointwise or tabulated.
+    """The quadratic character chi_D, read from its table over one period.
 
-    Instances are immutable apart from lazily built tables, which callers
-    must not modify; they are safe to share.  Use quad_char(disc) to get the
-    cached instance.
+    Every value, eval() included, comes from values(); the pointwise formula
+    of the module docstring is kept only as the tests' oracle.  Instances
+    are immutable apart from lazily built tables, which callers must not
+    modify; they are safe to share.  Use quad_char(disc) to get the cached
+    instance.
     """
 
     def __init__(self, disc: Discriminant):
@@ -160,22 +151,8 @@ class QuadChar:
         return f"QuadChar(D={self.disc.D})"
 
     def eval(self, x: int) -> int:
-        """chi_D(x) in {-1, 0, +1}; 0 exactly when gcd(x, N) > 1."""
-        n = self.disc.N
-        x = x % n or n
-        if gcd(x, n) > 1:
-            return 0
-        case = self.disc.case
-        if case is Case.ODD:
-            return jacobi(x, n)
-        if case is Case.D1:
-            return chi4(x) * jacobi(x, -self.disc.m)
-        odd_part = -self.disc.m // 2
-        if case is Case.D2:
-            return chi8(x) * jacobi(x, odd_part)
-        return chi4(x) * chi8(x) * jacobi(x, odd_part)
-
-    __call__ = eval
+        """chi_D(x) in {-1, 0, +1} for any integer x; 0 exactly when gcd(x, N) > 1."""
+        return self.values()[x % self.disc.N]
 
     def values(self) -> array:
         """Table (chi(0), chi(1), ..., chi(N)) as array('b'); chi(0) = chi(N) = 0.
@@ -243,8 +220,3 @@ def _legendre_row(p: int) -> array:
 def quad_char(disc: Discriminant) -> QuadChar:
     """Shared QuadChar for disc; the value table is built at most once."""
     return QuadChar(disc)
-
-
-def chi(disc: Discriminant, x: int) -> int:
-    """Convenience: chi_D(x) through the cached character."""
-    return quad_char(disc).eval(x)

@@ -24,7 +24,7 @@ class ExcludedDiscriminantError(ValueError):
 
 
 class ModulusTooLargeError(ValueError):
-    """N = |D| exceeds discriminant.MAX_N, above which no table is built."""
+    """N = |D| above discriminant.MAX_N, or a period above expansion.MAX_PERIOD."""
 
 
 class InvalidGeneratorError(ValueError):

@@ -18,19 +18,25 @@ from .discriminant import QuadChar
 from .errors import (
     InternalError,
     InvalidModulusError,
+    ModulusTooLargeError,
     NormalizationUndefinedError,
     NotCoprimeError,
 )
 
 __all__ = [
+    "MAX_PERIOD",
     "ExpansionPeriod",
     "CycleSet",
-    "lda_step",
     "expand",
     "digit_closed_form",
     "all_cycles",
     "normalize_cycle",
 ]
+
+# The longest period expand() stores, as two tuples of about 64 bytes per step
+# in all: at most about 130 MB per call.  It leaves room for 1/1000003 (period
+# 1000002), the largest prime the project's performance goals name.
+MAX_PERIOD = 2 * 10**6
 
 
 def _check_base(base: int, n: int) -> None:
@@ -91,30 +97,18 @@ class CycleSet:
         return self.cycles[0].e
 
 
-def lda_step(x: int, base: int, n: int) -> tuple[int, int]:
-    """One long-division step: digit floor(base*x/n) and the next numerator.
-
-    The next numerator is base*x - digit*n, i.e. base*x reduced into [1, n];
-    it stays coprime to n, so steps can be chained indefinitely.
-    """
-    _check_base(base, n)
-    _check_numerator(x, n)
-    a, r = divmod(base * x, n)
-    if r == 0:
-        # Unreachable with the coprimality checks above.
-        raise InternalError(f"exact division at x={x}, base={base}, n={n}")
-    return a, r
-
-
 def expand(x: int, base: int, n: int) -> ExpansionPeriod:
     """Run long division for one full period starting at numerator x.
 
-    The period length is computed up front as multiplicative_order(base, n)
-    and the final step is checked to land back on x.
+    The period length is computed up front as multiplicative_order(base, n),
+    and a period longer than MAX_PERIOD raises ModulusTooLargeError before
+    any digit is stored.  The final step is checked to land back on x.
     """
     _check_base(base, n)
     _check_numerator(x, n)
     e = multiplicative_order(base, n)
+    if e > MAX_PERIOD:
+        raise ModulusTooLargeError(f"period {e} mod {n} exceeds MAX_PERIOD={MAX_PERIOD}")
     digits = []
     cycle = []
     y = x

@@ -231,18 +231,16 @@ def columns(bases: Sequence[int]) -> list:
 
 
 def record_row(rec: DiscriminantRecord, bases: Sequence[int]) -> dict:
-    """One record flattened to the column schema."""
-    row = {"D": rec.D, "N": rec.N, "case": rec.case, "h": rec.h}
-    for family in ("cycle", "floor", "interval"):
-        for b in bases:
-            key = f"{family}_B{b}"
-            row[key] = rec.formulas.get(key)
-    row["factored_ok"] = rec.factored_ok
-    for key in CHECK_KEYS:
-        row[key] = rec.checks.get(key)
-    row["agree"] = rec.agree
-    row["passed"] = rec.passed
-    row["error"] = rec.error
+    """One record flattened to columns(bases): a check, a record field or a route."""
+    fields = vars(rec)
+    row = {}
+    for col in columns(bases):
+        if col in CHECK_KEYS:
+            row[col] = rec.checks.get(col)
+        elif col in fields:
+            row[col] = fields[col]
+        else:
+            row[col] = rec.formulas.get(col)
     return row
 
 

@@ -1,15 +1,22 @@
 """Independent oracles shared by the test modules.
 
 Each oracle computes the same quantity as the library through a different
-algorithm (reduced-form counting, Kronecker symbols, repeat-detection long
-division, direct binning, per-x floor sums), so agreement is meaningful.
+algorithm (reduced-form counting, Kronecker symbols, the character formula
+through quadratic reciprocity, repeat-detection long division, direct
+binning, per-x floor sums), so agreement is meaningful.
 """
+
+from math import gcd
 
 from sympy import factorint
 from sympy.functions.combinatorial.numbers import kronecker_symbol
 
-from quadclass.discriminant import from_discriminant
-from quadclass.errors import ExcludedDiscriminantError, NotFundamentalError
+from quadclass.discriminant import Case, from_discriminant
+from quadclass.errors import (
+    ExcludedDiscriminantError,
+    InvalidModulusError,
+    NotFundamentalError,
+)
 
 
 def h_by_reduced_forms(D: int) -> int:
@@ -37,6 +44,61 @@ def chi_kronecker(D: int, x: int) -> int:
     if x == 0:
         return 0
     return int(kronecker_symbol(D, x))
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a / n) for odd n > 0, via quadratic reciprocity.
+
+    (a / 1) = 1 for every a; the result is 0 exactly when gcd(a, n) > 1.
+    """
+    if n <= 0 or n % 2 == 0:
+        raise InvalidModulusError(f"jacobi needs positive odd n, got {n}")
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a  # Reciprocity: both are odd here.
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def chi4(x: int) -> int:
+    """Character mod 4: +1 for x = 1 (mod 4), -1 for x = 3 (mod 4)."""
+    if x % 2 == 0:
+        raise ValueError(f"chi4 needs odd x, got {x}")
+    return 1 if x % 4 == 1 else -1
+
+
+def chi8(x: int) -> int:
+    """Character mod 8: +1 for x = +/-1 (mod 8), -1 for x = +/-3 (mod 8)."""
+    if x % 2 == 0:
+        raise ValueError(f"chi8 needs odd x, got {x}")
+    return 1 if x % 8 in (1, 7) else -1
+
+
+def chi_by_reciprocity(disc, x: int) -> int:
+    """chi_D(x) pointwise from the case formula, one Jacobi symbol per call.
+
+    The library tabulates chi_D as a product of Legendre rows; this takes
+    the Jacobi symbol through reciprocity instead, times chi4/chi8.
+    """
+    n = disc.N
+    x = x % n or n
+    if gcd(x, n) > 1:
+        return 0
+    if disc.case is Case.ODD:
+        return jacobi(x, n)
+    if disc.case is Case.D1:
+        return chi4(x) * jacobi(x, -disc.m)
+    odd_part = -disc.m // 2
+    if disc.case is Case.D2:
+        return chi8(x) * jacobi(x, odd_part)
+    return chi4(x) * chi8(x) * jacobi(x, odd_part)
 
 
 def is_fundamental(D: int) -> bool:

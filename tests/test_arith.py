@@ -1,4 +1,6 @@
 import pytest
+from math import gcd
+
 from hypothesis import given, strategies as st
 from sympy import isprime as sympy_isprime, totient
 from sympy.functions.combinatorial.numbers import jacobi_symbol
@@ -6,70 +8,15 @@ from sympy.ntheory import n_order, primitive_root
 
 from quadclass.arith import (
     euler_phi,
-    gcd,
     is_prime,
     is_primitive_root,
     is_squarefree,
-    jacobi,
     least_primitive_root,
-    mod_pow,
     multiplicative_order,
-    residue_rep,
 )
 from quadclass.errors import InvalidModulusError, NotCoprimeError
 
-from helpers import _squarefree
-
-
-def test_gcd_conventions():
-    assert gcd(0, 0) == 0
-    assert gcd(0, 9) == 9
-    assert gcd(-4, 6) == 2
-    assert gcd(12, 18) == 6
-
-
-class TestResidueRep:
-    def test_examples(self):
-        assert residue_rep(49, 15).value == 4
-        assert residue_rep(15, 15).value == 15  # multiples map to N, not 0
-        assert residue_rep(30, 15).value == 15
-        assert residue_rep(-1, 15).value == 14
-        assert residue_rep(0, 7).value == 7
-        assert residue_rep(1, 7).value == 1
-
-    def test_range_congruence_idempotence(self):
-        for n in (2, 7, 12, 40):
-            for z in range(-3 * n, 3 * n + 1):
-                rep = residue_rep(z, n)
-                assert 1 <= rep.value <= n
-                assert (rep.value - z) % n == 0
-                assert rep.modulus == n
-                assert residue_rep(rep.value, n) == rep
-
-    def test_bad_modulus(self):
-        with pytest.raises(InvalidModulusError):
-            residue_rep(3, 1)
-        with pytest.raises(InvalidModulusError):
-            residue_rep(3, 0)
-        with pytest.raises(InvalidModulusError):
-            residue_rep(3, -5)
-
-
-class TestModPow:
-    def test_matches_builtin(self):
-        for b in range(-5, 15):
-            for e in range(0, 10):
-                for n in (2, 7, 15, 40):
-                    assert mod_pow(b, e, n) == pow(b, e, n)
-
-    def test_zero_exponent(self):
-        assert mod_pow(12345, 0, 7) == 1
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
-        with pytest.raises(InvalidModulusError):
-            mod_pow(2, 3, 1)
+from helpers import _squarefree, jacobi
 
 
 class TestMultiplicativeOrder:
@@ -110,6 +57,7 @@ class TestMultiplicativeOrder:
 
 
 class TestJacobi:
+    # The reciprocity oracle of tests/helpers.py, itself checked against sympy.
     def test_known_values(self):
         assert jacobi(2, 15) == 1
         assert jacobi(7, 15) == -1

@@ -248,6 +248,18 @@ class TestTooLarge:
         assert main(["expand", "-D", str(-MAX_N - 1), "-B", "10"]) == 2
         assert capsys.readouterr().err.count("MAX_N") == 3
 
+    def test_period_limit(self, capsys, monkeypatch):
+        import quadclass.expansion as E
+
+        # 2 has order 1018 mod the prime 1019: the longest period it can have.
+        monkeypatch.setattr(E, "MAX_PERIOD", 1017)
+        assert main(["expand", "-N", "1019", "-B", "2"]) == 2
+        assert main(["girstmair", "1019", "-B", "2"]) == 2
+        assert capsys.readouterr().err.count("MAX_PERIOD=1017") == 2
+        monkeypatch.setattr(E, "MAX_PERIOD", 1018)
+        assert main(["expand", "-N", "1019", "-B", "2"]) == 0
+        assert main(["girstmair", "1019", "-B", "2"]) == 0
+
 
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:

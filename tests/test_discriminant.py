@@ -4,9 +4,6 @@ from math import gcd
 from quadclass.discriminant import (
     MAX_N,
     Case,
-    chi,
-    chi4,
-    chi8,
     from_discriminant,
     from_generator,
     quad_char,
@@ -18,7 +15,14 @@ from quadclass.errors import (
     NotFundamentalError,
 )
 
-from helpers import chi_kronecker, fundamentals_with_n_up_to, is_fundamental
+from helpers import (
+    chi4,
+    chi8,
+    chi_by_reciprocity,
+    chi_kronecker,
+    fundamentals_with_n_up_to,
+    is_fundamental,
+)
 
 
 class TestFromDiscriminant:
@@ -102,6 +106,7 @@ class TestSizeLimit:
 
 
 class TestChi4Chi8:
+    # The factors of the reciprocity oracle in tests/helpers.py.
     def test_tables(self):
         assert [chi4(x) for x in (1, 3, 5, 7)] == [1, -1, 1, -1]
         assert [chi8(x) for x in (1, 3, 5, 7)] == [1, -1, -1, 1]
@@ -126,53 +131,57 @@ class TestCharacter:
         d40 = from_discriminant(-40)
         d56 = from_discriminant(-56)
         d43 = from_discriminant(-43)
-        assert chi(d40, 3) == -1
-        assert chi(d56, 11) == -1
-        assert chi(d43, 2) == -1  # N = 43 = 3 (mod 8)
-        assert chi(from_discriminant(-7), 2) == 1  # N = 7 (mod 8)
+        assert quad_char(d40).eval(3) == -1
+        assert quad_char(d56).eval(11) == -1
+        assert quad_char(d43).eval(2) == -1  # N = 43 = 3 (mod 8)
+        assert quad_char(from_discriminant(-7)).eval(2) == 1  # N = 7 (mod 8)
 
     def test_row_for_minus_40(self):
-        d = from_discriminant(-40)
-        row = tuple(chi(d, x) for x in range(1, 40) if gcd(x, 40) == 1)
+        char = quad_char(from_discriminant(-40))
+        row = tuple(char.eval(x) for x in range(1, 40) if gcd(x, 40) == 1)
         assert row == (1, -1, 1, 1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, 1, -1)
 
     def test_zero_iff_common_factor(self):
         for disc in fundamentals_with_n_up_to(100):
+            char = quad_char(disc)
             for x in range(0, disc.N + 1):
-                assert (chi(disc, x) == 0) == (gcd(x, disc.N) > 1)
+                assert (char.eval(x) == 0) == (gcd(x, disc.N) > 1)
 
     def test_matches_kronecker_symbol(self):
         for disc in fundamentals_with_n_up_to(400):
+            char = quad_char(disc)
             for x in range(1, disc.N + 1):
-                assert chi(disc, x) == chi_kronecker(disc.D, x), (disc.D, x)
+                assert char.eval(x) == chi_kronecker(disc.D, x), (disc.D, x)
 
     def test_matches_kronecker_symbol_larger_sampled(self):
         for disc in fundamentals_with_n_up_to(3000)[::19]:
+            char = quad_char(disc)
             for x in range(1, disc.N, 13):
-                assert chi(disc, x) == chi_kronecker(disc.D, x), (disc.D, x)
+                assert char.eval(x) == chi_kronecker(disc.D, x), (disc.D, x)
 
     def test_table_matches_pointwise_eval(self):
-        # The row-product table against the Jacobi-symbol eval, in every Case.
+        # The row-product table against the reciprocity oracle, in every Case.
         cases = set()
         for disc in fundamentals_with_n_up_to(3000):
-            char = quad_char(disc)
-            vals = char.values()
+            vals = quad_char(disc).values()
             assert len(vals) == disc.N + 1
             assert vals[0] == 0 and vals[disc.N] == 0
             for x in range(disc.N + 1):
-                assert vals[x] == char.eval(x), (disc.D, x)
+                assert vals[x] == chi_by_reciprocity(disc, x), (disc.D, x)
             cases.add(disc.case)
         assert cases == set(Case)
 
     def test_chi_at_minus_one(self):
         for disc in fundamentals_with_n_up_to(500):
-            assert chi(disc, -1) == -1
-            assert chi(disc, disc.N - 1) == -1
+            char = quad_char(disc)
+            assert char.eval(-1) == -1
+            assert char.eval(disc.N - 1) == -1
 
     def test_periodicity(self):
         for disc in fundamentals_with_n_up_to(200)[::5]:
+            char = quad_char(disc)
             for x in range(-disc.N, disc.N):
-                assert chi(disc, x) == chi(disc, x + disc.N)
+                assert char.eval(x) == char.eval(x + disc.N)
 
     def test_quad_char_is_cached(self):
         d = from_discriminant(-15)

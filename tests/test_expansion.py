@@ -14,49 +14,10 @@ from quadclass.expansion import (
     all_cycles,
     digit_closed_form,
     expand,
-    lda_step,
     normalize_cycle,
 )
 
 from helpers import digits_until_repeat
-
-
-class TestLdaStep:
-    def test_examples(self):
-        assert lda_step(1, 10, 7) == (1, 3)
-        assert lda_step(3, 10, 7) == (4, 2)
-        assert lda_step(1, 7, 15) == (0, 7)
-        # First digit of 1/(B+1) in base B is 0, remainder B.
-        for b in (2, 5, 9):
-            assert lda_step(1, b, b + 1) == (0, b)
-
-    def test_step_identity(self):
-        for n in (7, 15, 40, 56):
-            for base in range(2, 14):
-                if gcd(base, n) != 1:
-                    continue
-                for x in range(1, n):
-                    if gcd(x, n) != 1:
-                        continue
-                    a, nxt = lda_step(x, base, n)
-                    assert base * x == a * n + nxt
-                    assert 1 <= nxt <= n - 1
-                    assert gcd(nxt, n) == 1
-                    assert 0 <= a <= base - 1
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            lda_step(0, 10, 7)
-        with pytest.raises(ValueError):
-            lda_step(8, 10, 7)
-        with pytest.raises(NotCoprimeError):
-            lda_step(5, 10, 15)
-        with pytest.raises(NotCoprimeError):
-            lda_step(1, 5, 15)
-        with pytest.raises(ValueError):
-            lda_step(1, 1, 7)
-        with pytest.raises(InvalidModulusError):
-            lda_step(1, 10, 1)
 
 
 class TestExpand:

@@ -1,7 +1,7 @@
 import pytest
 
 from quadclass.classnum import ek_table, h_dirichlet
-from quadclass.discriminant import chi, from_discriminant
+from quadclass.discriminant import from_discriminant, quad_char
 from quadclass.errors import DivisibleByThreeError, WrongParityError
 from quadclass.theorems import (
     check_b2,
@@ -39,9 +39,10 @@ class TestClassify:
             if disc.N % 2 == 0 or disc.N % 3 == 0:
                 continue
             cls = classify(disc)
-            assert cls.chi2 == chi(disc, 2)
-            assert cls.chi3 == chi(disc, 3)
-            assert cls.chi2 * cls.chi3 == chi(disc, 6)
+            char = quad_char(disc)
+            assert cls.chi2 == char.eval(2)
+            assert cls.chi3 == char.eval(3)
+            assert cls.chi2 * cls.chi3 == char.eval(6)
 
     def test_errors(self):
         with pytest.raises(WrongParityError):
@@ -116,7 +117,7 @@ class TestEvenTables:
         for disc in fundamentals_with_n_up_to(600):
             if disc.case.value == "Odd" or disc.N % 3 == 0:
                 continue
-            assert (chi(disc, 3) == 1) == (disc.D % 3 == 1)
+            assert (quad_char(disc).eval(3) == 1) == (disc.D % 3 == 1)
 
     def test_errors(self):
         with pytest.raises(WrongParityError):
