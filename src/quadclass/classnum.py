@@ -15,7 +15,10 @@ built once per D.  The cycle route walks the orbits of x -> Bx mod N over
 it in place (h_theorem1), with long division over only half of the
 residues: the reflection x -> N - x negates chi and complements every
 digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
-(Midy's theorem, generalised).  The girstmair route is its one-orbit case.
+(Midy's theorem, generalised).  Each step divides in base B^k and reads the
+signed sum of its k base-B digits from a table, and the walk marks only the
+points it needs to tell the next class from the walked ones.  The girstmair
+route is its one-orbit case.
 Every interval quantity, here and in theorems, is a difference of the
 prefix sums P(t) = sum_{x <= t} chi(x) at cut points floor(kN/B), read
 through cut_totals, so it costs O(B) per base rather than a pass over x.
@@ -30,6 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .arith import (
     distinct_prime_factors,
@@ -75,6 +79,10 @@ __all__ = [
     "eta",
     "lambda_map",
 ]
+
+# The largest block B^k of digits that one long-division step of h_theorem1
+# emits: its digit-sum tables hold at most this many entries per (B, chi(B)).
+MAX_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def alternating_digit_sum(digits) -> int:
 def h_dirichlet(disc: Discriminant) -> HResult:
     """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route."""
     vals = quad_char(disc).values()
-    raw = sum(x * c for x, c in enumerate(vals) if c)
+    raw = sum(map(mul, range(disc.N + 1), vals))
     return _exact_h(disc, -raw, disc.N, "dirichlet", raw)
 
 
@@ -156,6 +164,40 @@ def h_cycle_contribution(period: ExpansionPeriod, char: QuadChar) -> Fraction:
         normalized = normalize_cycle(period, char)
         return Fraction(alternating_digit_sum(normalized.digits), period.base + 1)
     return Fraction(-char.eval(period.x1) * sum(period.digits), period.base - 1)
+
+
+@lru_cache(maxsize=64)
+def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...]]:
+    """(k, tab): k base-B digits per block, tab[A] their sum signed by s^j.
+
+    k is the largest with B^k <= MAX_BLOCK, made even when s = -1 so that
+    every block starts on the sign +1; tab[A] = sum_j s^j d_j over the k
+    base-B digits d_0 d_1 ... d_(k-1) of A, most significant first.  k = 0
+    when no block fits: B > MAX_BLOCK, or B^2 > MAX_BLOCK with s = -1.
+    """
+    k = 0
+    while base ** (k + 1) <= MAX_BLOCK:
+        k += 1
+    if s == -1:
+        k -= k % 2
+    tab = [0]
+    for j in range(k):
+        sg = s**j
+        tab = [v + sg * d for v in tab for d in range(base)]
+    return k, tuple(tab)
+
+
+def _next_start(seen: bytearray, x: int, base: int, n: int, k: int) -> int:
+    """The least u > x with u, u B, ..., u B^(k-1) (mod N) all unmarked, or -1."""
+    while (x := seen.find(0, x + 1)) > 0:
+        u = x
+        for _ in range(k - 1):
+            u = u * base % n
+            if seen[u]:
+                break  # a member of a walked class
+        else:
+            return x
+    return -1
 
 
 def h_theorem1(disc: Discriminant, base: int) -> HResult:
@@ -190,21 +232,48 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     -1 = B^(e/2) (mod N) with e = multiplicative_order(B, N) even:
 
       * -C != C: walk all e members of C from x; the sum above is the
-        numerator of C and -C together, two cycles.
+        numerator of C and -C together, one class C u -C of 2e units.
       * -C = C: y_(i + e/2) = N - y_i, so the sum over the first half
-        y_0 .. y_(e/2 - 1) of the walk is the numerator of C, one cycle.
-        chi(B)^(e/2) = chi(-1) = -1, so chi(B) = -1 and e/2 is odd.
+        y_0 .. y_(e/2 - 1) of the walk is the numerator of C, one class of
+        e units.  chi(B)^(e/2) = chi(-1) = -1, so chi(B) = -1 and e/2 is odd.
 
     With chi(y_i) = chi(B)^i chi(x) and t the digit sum signed by chi(B)^i,
     the walk of w steps gives -chi(x) (2t - (B - 1) sum_{i < w} chi(B)^i),
     where the last sum is w for chi(B) = +1 and w mod 2 for chi(B) = -1.
-    Each walk starts at the smallest unseen unit x and marks y and N - y
-    seen, with the flags in a bytearray; the digits are summed as
-    integers, in pairs a - b when chi(B) = -1; the total is divided by
-    B - chi(B) once.  Checks, each raising InternalError: chi(B) = -1 needs
-    e even; -1 a power of B needs chi(B) = -1 and e/2 odd; each walk lands
-    on x (on N - x when -C = C); the f cycles satisfy f e = phi(N); the
-    division is exact with a positive quotient.
+    The total is divided by B - chi(B) once.
+
+    k digits per step.  Long division in base B^k emits A = floor(B^k y/N)
+    and the numerator B^k y mod N, which is y_k.  Unrolling y_(i+1) =
+    B y_i - a(y_i) N gives B^k y = N sum_{j<k} a(y_j) B^(k-1-j) + y_k with
+    0 <= y_k < N, so A = sum_{j<k} a(y_j) B^(k-1-j): the k base-B digits of
+    A, most significant first, are the next k digits of the expansion, and
+    one step adds their signed sum, read from _digit_table.  k is even when
+    chi(B) = -1, so every block starts on the sign +1.  The steps % k
+    digits left over (all of them when no table fits) go one at a time.
+
+    One start per class.  A walk of w steps covers a class C u -C (C alone
+    when -C = C) of 2w units, so there are W = phi(N)/(2w) classes.  Every
+    walk but the last marks y_i and N - y_i at its block points i = 0, k,
+    2k, ... and at each leftover point.  So each y_i has a marked y_(i+j)
+    with j < max(k, 1), where y_w = x (N - x when -C = C) counts as marked.
+    The next start is the least unit u such that u B^j (mod N) is unmarked
+    for every j < k, and u itself is.  u = +/-y_i in a walked class fails,
+    since +/-y_i B^j = +/-y_(i+j).  u in a class not yet walked passes,
+    since its images stay in that class, which carries no mark.  So the
+    scan finds exactly one start per class; W = 1 needs no flags, and the
+    last walk no marks.
+
+    Checks, each raising InternalError: chi(B) = -1 needs e even; -1 a
+    power of B needs chi(B) = -1 and e/2 odd; each walk lands on x (on
+    N - x when -C = C); the division is exact with a positive quotient.
+    Three more replace counting the cycles f and checking f e = phi(N):
+    phi(N) is a multiple of 2w; e is certified as the order, B^(e/q) != 1
+    (mod N) for each prime q | e; the scan finds W starts.  A walk that
+    closes gives B^e = 1 (B^(e/2) = -1 when -C = C), so with the
+    certificate e is the order and -C = C is decided right.  Then every
+    class has exactly 2w units, W is the number of classes, and the W
+    starts the scan finds cover every unit once, which is what f e = phi(N)
+    asserted.
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -222,47 +291,51 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     if self_paired and half % 2 == 0:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
     steps = half if self_paired else e
+    phi = euler_phi(n)
+    if phi % (2 * steps):
+        raise InternalError(f"{where}: cycle count phi({n}) / (2 * {steps}) is not an integer")
+    for q in distinct_prime_factors(e):
+        if pow(base, e // q, n) == 1:
+            raise InternalError(f"{where}: period {e} is not the order, {base}^{e // q} = 1 (mod {n})")
+    walks = phi // (2 * steps)
+    k, tab = _digit_table(base, s)
+    bk = base**k
+    blocks, rest = divmod(steps, k) if k else (0, steps)
     sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
-    # Non-units start out seen, so find(0) lands only on unvisited units.
-    seen = char.nonunit_flags()
-    find = seen.find
+    # Non-units start out marked, so find(0) lands only on units.
+    seen = char.nonunit_flags() if walks > 1 else None
     raw = 0
-    f = 0
-    x = find(0)
-    while x > 0:
+    x = 1  # the smallest unit starts the first class
+    for left in range(walks - 1, -1, -1):
+        marks = seen if left else None
         y = x
         t = 0
-        if s == 1:
-            for _ in range(steps):
-                seen[y] = seen[n - y] = 1
-                y *= base
-                a = y // n
-                y -= a * n
-                t += a
+        if marks is None:
+            for _ in range(blocks):
+                y *= bk
+                t += tab[y // n]
+                y %= n
         else:
-            for _ in range(steps // 2):
-                seen[y] = seen[n - y] = 1
-                y *= base
-                a = y // n
-                y -= a * n
-                seen[y] = seen[n - y] = 1
-                y *= base
-                b = y // n
-                y -= b * n
-                t += a - b
-            if steps % 2:
-                seen[y] = seen[n - y] = 1
-                y *= base
-                a = y // n
-                y -= a * n
-                t += a
+            for _ in range(blocks):
+                marks[y] = marks[n - y] = 1
+                y *= bk
+                t += tab[y // n]
+                y %= n
+        sg = 1
+        for _ in range(rest):
+            if marks is not None:
+                marks[y] = marks[n - y] = 1
+            y *= base
+            t += sg * (y // n)
+            y %= n
+            sg *= s
         if y != (n - x if self_paired else x):
             raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
         raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
-        f += 1 if self_paired else 2
-        x = find(0, x + 1)
-    if f * e != euler_phi(n):
-        raise InternalError(f"{where}: cycle count {f} * length {e} != phi({n})")
+        if left:
+            x = _next_start(seen, x, base, n, k)
+            if x < 0:
+                raise InternalError(f"{where}: found {walks - left} of {walks} classes")
     return _exact_h(disc, raw, base - s, f"cycle[B={base}]", raw)
 
 
@@ -366,7 +439,8 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     cycle, so (B+1) h is the alternating digit sum of the period of 1/p.
     With no base given the least primitive root is used.  That cycle is the
     one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
-    walk takes (p - 1)/2 steps and the reflection supplies the other digits.
+    walk covers (p - 1)/2 digits, k per step, the reflection supplies the
+    other digits, and with one class it marks nothing.
     """
     check_size(p)
     if not is_prime(p):

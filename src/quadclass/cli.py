@@ -16,6 +16,7 @@ import argparse
 import sys
 from math import gcd
 
+from . import expansion
 from .arith import euler_phi, least_primitive_root
 from .classnum import (
     ek_table,
@@ -27,7 +28,7 @@ from .classnum import (
     h_theorem1,
 )
 from .discriminant import check_size, from_discriminant, quad_char
-from .errors import InternalError
+from .errors import InternalError, ModulusTooLargeError
 from .expansion import expand, normalize_cycle
 from .verify import DEFAULT_BASES, to_csv, to_json, to_text, verify_range
 
@@ -163,7 +164,12 @@ def cmd_ek(args) -> int:
 
 
 def cmd_girstmair(args) -> int:
-    # h_girstmair validates p (size first) before anything else touches it.
+    # The period of 1/p at a primitive root is p - 1, and expand below refuses
+    # one above MAX_PERIOD: refuse it here, before h_girstmair walks the orbit.
+    check_size(args.p)
+    limit = expansion.MAX_PERIOD
+    if args.p - 1 > limit:
+        raise ModulusTooLargeError(f"period {args.p - 1} mod {args.p} exceeds MAX_PERIOD={limit}")
     result = h_girstmair(args.p, args.base)
     base = args.base if args.base is not None else least_primitive_root(args.p)
     period = expand(1, base, args.p)

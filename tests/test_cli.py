@@ -260,6 +260,17 @@ class TestTooLarge:
         assert main(["expand", "-N", "1019", "-B", "2"]) == 0
         assert main(["girstmair", "1019", "-B", "2"]) == 0
 
+    def test_girstmair_period_refused_before_walk(self, capsys, monkeypatch):
+        import quadclass.classnum as classnum
+
+        def refuse(disc, base):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(classnum, "h_theorem1", refuse)
+        # 2000003 is a prime = 3 (mod 4) below MAX_N; its period 2000002 is not.
+        assert main(["girstmair", "2000003"]) == 2
+        assert "MAX_PERIOD=2000000" in capsys.readouterr().err
+
 
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,10 @@
 """The shared kernel against independent oracles, and its guards under faults.
 
-h_theorem1 walks half of every orbit in place and the interval routes read
-prefix sums at cut points; here each is diffed against a route that shares
-none of that code: the per-cycle reference h_cycle_contribution over
-all_cycles, the full period of expand, and the per-x oracles in helpers
+h_theorem1 walks half of every orbit in place, k digits per step, and the
+interval routes read prefix sums at cut points; here each is diffed against
+a route that shares none of that code: the per-cycle reference
+h_cycle_contribution over all_cycles, the full period of expand, per-digit
+long division for the digit tables, and the per-x oracles in helpers
 (direct binning and the floor sum term by term).
 """
 
@@ -27,7 +28,7 @@ from quadclass.classnum import (
     h_girstmair,
     h_theorem1,
 )
-from quadclass.discriminant import from_discriminant, quad_char
+from quadclass.discriminant import QuadChar, from_discriminant, quad_char
 from quadclass.errors import InternalError
 
 from helpers import ek_by_binning, floor_sum_by_x, fundamentals_with_n_up_to
@@ -39,21 +40,106 @@ def _coprime_bases(n):
     return [b for b in BASES if gcd(b, n) == 1]
 
 
-def test_orbit_walk_matches_cycle_contributions():
+def _walk_shape(disc, base, cycles):
+    """(W, steps, k): classes, long-division steps per walk, digits per block."""
+    s = quad_char(disc).eval(base)
+    one = next(c for c in cycles if 1 in c.cycle)
+    self_paired = disc.N - 1 in one.cycle
+    walks = len(cycles) if self_paired else len(cycles) // 2
+    steps = one.e // 2 if self_paired else one.e
+    k, _ = classnum._digit_table(base, s)
+    return walks, steps, k
+
+
+def test_orbit_walk_matches_cycle_contributions(monkeypatch):
+    flags = []  # the seen flags of each h_theorem1 call that asks for them
+
+    class CountingFlags(bytearray):
+        finds = 0
+
+        def find(self, *args):
+            self.finds += 1
+            return super().find(*args)
+
+    nonunit_flags = QuadChar.nonunit_flags
+
+    def counting_flags(char):
+        flags.append(CountingFlags(nonunit_flags(char)))
+        return flags[-1]
+
+    monkeypatch.setattr(QuadChar, "nonunit_flags", counting_flags)
     branches = set()  # (chi(B), whether -1 is a power of B)
+    shapes = set()
     for disc in fundamentals_with_n_up_to(2000):
         char = quad_char(disc)
         for base in _coprime_bases(disc.N):
             cycles = all_cycles(base, disc.N).cycles
             total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
+            flags.clear()
             got = h_theorem1(disc, base)
             assert total.denominator == 1, (disc.D, base)
             assert got.h == total, (disc.D, base)
             assert got.raw_sum == total * (base - char.eval(base)), (disc.D, base)
             one = next(c for c in cycles if 1 in c.cycle)
             branches.add((char.eval(base), disc.N - 1 in one.cycle))
+            walks, steps, k = _walk_shape(disc, base, cycles)
+            if walks == 1:
+                assert not flags, (disc.D, base)  # one class needs no seen flags
+                shapes.add("W = 1")
+            else:
+                # The scan runs after every walk but the last; each rejection
+                # costs one more find.
+                (seen,) = flags
+                assert seen.finds >= walks - 1, (disc.D, base)
+                if seen.finds > walks - 1:
+                    shapes.add("W > 1, a candidate rejected")
+            if steps < k:
+                shapes.add("steps < k")
+            elif steps % k:
+                shapes.add("steps % k != 0")
     # chi(B) = +1 with -1 a power of B would force chi(-1) = +1.
     assert branches == {(1, False), (-1, False), (-1, True)}
+    assert shapes == {"W = 1", "W > 1, a candidate rejected", "steps < k", "steps % k != 0"}
+
+
+def test_orbit_walk_without_digit_tables():
+    # B^2 > MAX_BLOCK: with chi(B) = -1 no block of an even k digits fits, and
+    # B = 4099 > MAX_BLOCK fits none at all, so those walks run digit by digit.
+    kinds = set()
+    for disc in fundamentals_with_n_up_to(500):
+        char = quad_char(disc)
+        for base in (67, 101, 4099):
+            if gcd(base, disc.N) > 1:
+                continue
+            cycles = all_cycles(base, disc.N).cycles
+            total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
+            assert h_theorem1(disc, base).raw_sum == total * (base - char.eval(base)), (disc.D, base)
+            walks, _, k = _walk_shape(disc, base, cycles)
+            kinds.add((char.eval(base), k, walks > 1))
+    assert {(1, 1, True), (-1, 0, True), (1, 0, True), (-1, 0, False)} <= kinds
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("base", [*range(2, 14), 17, 19])
+def test_digit_tables_match_long_division(base, sign):
+    k, tab = classnum._digit_table(base, sign)
+    bk = base**k
+    assert k % 2 == 0 or sign == 1
+    assert len(tab) == bk <= classnum.MAX_BLOCK < bk * base ** (1 if sign == 1 else 2)
+    # Entry A is the signed digit sum of A / B^k, found one digit at a time.
+    for a, total in enumerate(tab):
+        y, want = a, 0
+        for j in range(k):
+            d, y = divmod(base * y, bk)
+            want += sign**j * d
+        assert total == want, (base, sign, a)
+    # One step of long division in base B^k emits the next k digits of x/N.
+    n = 1009  # a prime, so every base here is coprime to it
+    period = expand(1, base, n)
+    digits = period.digits * 2
+    for i, y in enumerate(period.cycle):
+        want = sum(sign**j * d for j, d in enumerate(digits[i : i + k]))
+        assert tab[bk * y // n] == want, (base, sign, y)
 
 
 def test_girstmair_matches_full_period():
@@ -104,8 +190,10 @@ def test_interval_routes_match_per_x_oracles():
 
 # One (D, B) per branch of the walk: chi(2 mod 47) = +1 with order 23;
 # chi(5 mod 47) = -1 with 5^23 = -1; chi(2 mod 35) = -1 with order 12 and
-# 2^6 = 29, so -1 is no power of 2 mod 35.
-BRANCHES = [(-47, 2), (-47, 5), (-35, 2)]
+# 2^6 = 29, so -1 is no power of 2 mod 35.  Then walks over several classes:
+# chi(5 mod 71) = +1 with order 5, W = 7; chi(3 mod 103) = -1 with
+# 3^17 = -1, W = 3; chi(2 mod 119) = +1 with order 24, W = 2.
+BRANCHES = [(-47, 2), (-47, 5), (-35, 2), (-71, 5), (-103, 3), (-119, 2)]
 
 
 @pytest.mark.parametrize("wrong", [lambda e: e + 1, lambda e: 2 * e, lambda e: e - 1])
@@ -115,6 +203,15 @@ def test_wrong_period_is_caught(monkeypatch, wrong):
     for D, base in BRANCHES:
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}"):
             h_theorem1(from_discriminant(D), base)
+
+
+def test_doubled_period_needs_the_order_certificate(monkeypatch):
+    # 2 has order 24 mod 119 and phi(119) = 96 = 2 * 48, so a claimed period
+    # of 48 passes the class count, and the one walk from 1 closes.
+    real = classnum.multiplicative_order
+    monkeypatch.setattr(classnum, "multiplicative_order", lambda b, n: 2 * real(b, n))
+    with pytest.raises(InternalError, match=r"cycle\[B=2\] at D=-119: period 48 is not the order"):
+        h_theorem1(from_discriminant(-119), 2)
 
 
 @pytest.mark.parametrize(
