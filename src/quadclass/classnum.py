@@ -19,21 +19,20 @@ digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
 signed sum of its k base-B digits from a table, and the walk marks only the
 points it needs to tell the next class from the walked ones.  The girstmair
 route is its one-orbit case.
-Every interval quantity, here and in theorems, is a difference of the
-prefix sums P(t) = sum_{x <= t} chi(x) at cut points floor(kN/B), read
-through cut_totals, so it costs O(B) per base rather than a pass over x.
+Every interval quantity, here and in theorems, is read off the E_k(B)
+table of QuadChar.sign_counts, counted once per (D, B) with one byte count
+per piece of the table, so each route costs O(B) once that count exists.
 Only h_dirichlet, the reference route, sums over x itself.
 
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
 """
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .arith import (
     distinct_prime_factors,
@@ -54,6 +53,7 @@ from .errors import (
     ExcludedDiscriminantError,
     InternalError,
     InvalidFactorizationError,
+    ModulusTooLargeError,
     NotCoprimeError,
     WrongParityError,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "h_cycle_contribution",
     "h_theorem1",
     "h_floor_formula",
-    "cut_totals",
     "ek_table",
     "h_from_ek",
     "h_from_ek_factored",
@@ -79,6 +78,13 @@ __all__ = [
     "eta",
     "lambda_map",
 ]
+
+# The largest base accepted.  The interval routes and the ek table hold
+# lists of B + 1 cut points, counts and Fractions, so a larger base is
+# refused before any of them exists.  At D = -7, B = 2*10**6 peaks at 95 MB
+# in the floor route and at 441 MB and 21 s in `ek`; B = 10**5 stays under
+# 50 MB and 1 s, well above the largest base the tests run, 4099.
+MAX_BASE = 10**5
 
 # The largest block B^k of digits that one long-division step of h_theorem1
 # emits: its digit-sum tables hold at most this many entries per (B, chi(B)).
@@ -117,9 +123,16 @@ class EkTable:
         return tuple(Fraction(k * self.disc.N, self.base) for k in range(self.base + 1))
 
 
-def _check_coprime_base(disc: Discriminant, base: int) -> None:
+def _check_base(base: int) -> None:
+    """Raise unless 2 <= base <= MAX_BASE."""
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
+    if base > MAX_BASE:
+        raise ModulusTooLargeError(f"base {base} exceeds the limit MAX_BASE={MAX_BASE}")
+
+
+def _check_coprime_base(disc: Discriminant, base: int) -> None:
+    _check_base(base)
     if gcd(base, disc.N) != 1:
         raise NotCoprimeError(f"gcd({base}, {disc.N}) > 1 at D={disc.D}")
 
@@ -339,70 +352,26 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     return _exact_h(disc, raw, base - s, f"cycle[B={base}]", raw)
 
 
-def cut_totals(disc: Discriminant, base: int, ks: Iterable[int]) -> list[int]:
-    """P(floor(kN/B)) for each k in ks: the total of chi over 0 < x <= kN/B.
-
-    Every interval identity reads the character through here, at O(1) per
-    cut.  A cut kN/B that is an integer x with chi(x) != 0 would put x on
-    both sides of it, so it raises InternalError.  With gcd(B, N) = 1 no
-    interior cut is an integer; the quarter point N/4 of an even D is one,
-    with chi(N/4) = 0.
-    """
-    char = quad_char(disc)
-    vals = char.values()
-    prefix = char.prefix()
-    n = disc.N
-    out = []
-    for k in ks:
-        t, r = divmod(k * n, base)
-        if r == 0 and vals[t]:
-            raise InternalError(
-                f"integral endpoint {k}*{n}/{base} at D={disc.D} with chi = {vals[t]}"
-            )
-        out.append(prefix[t])
-    return out
-
-
-def _subinterval_totals(disc: Discriminant, base: int) -> tuple[int, ...]:
-    """E_0..E_{B-1}: the character totals of the B subintervals.
-
-    gcd(B, N) = 1 keeps every interior endpoint kN/B non-integral, so the
-    k-th subinterval holds exactly the integers floor(kN/B) < x <= floor((k+1)N/B)
-    (the top endpoint x = N carries chi = 0 and changes nothing).
-    """
-    _check_coprime_base(disc, base)
-    p = cut_totals(disc, base, range(base + 1))
-    return tuple(b - a for a, b in zip(p, p[1:]))
-
-
 def h_floor_formula(disc: Discriminant, base: int) -> HResult:
     """h from -sum chi(x) floor(Bx/N) = (B - chi(B)) h.
 
     floor(Bx/N) = k exactly on the k-th subinterval, so the sum is -sum k E_k.
     """
-    entries = _subinterval_totals(disc, base)
+    entries = ek_table(disc, base).entries
     raw = -sum(k * e for k, e in enumerate(entries))
     s = quad_char(disc).eval(base)
     return _exact_h(disc, raw, base - s, f"floor[B={base}]", raw)
 
 
 def ek_table(disc: Discriminant, base: int) -> EkTable:
-    """Tabulate E_k and the sign counts of all B subintervals.
+    """E_k = pos_k - neg_k over the B subintervals, from QuadChar.sign_counts.
 
-    Of the u_k units in the k-th subinterval, (u_k + E_k)/2 have chi = +1 and
-    (u_k - E_k)/2 have chi = -1.  The number of units in [1, t] is
-    sum mu(d) floor(t/d) over the squarefree divisors d of N.
+    gcd(B, N) = 1 keeps every interior endpoint kN/B non-integral, so the
+    k-th subinterval holds exactly the integers floor(kN/B) < x <= floor((k+1)N/B).
     """
-    entries = _subinterval_totals(disc, base)
-    n = disc.N
-    divisors = [(1, 1)]  # (d, mu(d))
-    for p in distinct_prime_factors(n):
-        divisors += [(d * p, -mu) for d, mu in divisors]
-    cuts = [sum(mu * (k * n // base // d) for d, mu in divisors) for k in range(base + 1)]
-    units = [b - a for a, b in zip(cuts, cuts[1:])]
-    pos = tuple((u + e) // 2 for u, e in zip(units, entries))
-    neg = tuple((u - e) // 2 for u, e in zip(units, entries))
-    return EkTable(disc, base, entries, pos, neg)
+    _check_coprime_base(disc, base)
+    pos, neg = quad_char(disc).sign_counts(base)
+    return EkTable(disc, base, tuple(map(sub, pos, neg)), pos, neg)
 
 
 def _half_table(disc: Discriminant, base: int, b1: int, method: str) -> HResult:
@@ -413,7 +382,7 @@ def _half_table(disc: Discriminant, base: int, b1: int, method: str) -> HResult:
     sum_{j < B1/2} (B1-1-2j) E_j = (B1 - chi(B1)) h.  B1 = B is the
     unfactored identity, with blocks of one interval.
     """
-    entries = _subinterval_totals(disc, base)
+    entries = ek_table(disc, base).entries
     b2 = base // b1
     raw = sum((b1 - 1 - 2 * j) * sum(entries[j * b2 : (j + 1) * b2]) for j in range(b1 // 2))
     s1 = quad_char(disc).eval(b1)

@@ -154,8 +154,9 @@ def cmd_ek(args) -> int:
     s = quad_char(disc).eval(args.base)
     print(f"{disc}, base {args.base}, chi({args.base}) = {s:+d}")
     print(f"  {'k':>2}  {'interval':<22} {'#chi=+1':>8} {'#chi=-1':>8} {'E_k':>5}")
+    bounds = table.boundaries  # B + 1 Fractions, built on each read
     for k, entry in enumerate(table.entries):
-        interval = f"({table.boundaries[k]}, {table.boundaries[k + 1]})"
+        interval = f"({bounds[k]}, {bounds[k + 1]})"
         print(f"  {k:>2}  {interval:<22} {table.pos_counts[k]:>8} "
               f"{table.neg_counts[k]:>8} {entry:>5}")
     r = h_from_ek(disc, args.base)

@@ -17,8 +17,9 @@ identities this package checks.
 QuadChar is the one implementation of chi_D and the kernel every class
 number route shares: the table of chi_D over one period, built once per D
 as a product of periodic rows (the Jacobi symbol factored into Legendre
-rows, times the chi4/chi8 row), and the prefix sums of chi_D, built on the
-first interval query.  Single values are read from the table too.  The
+rows, times the chi4/chi8 row), and the counts of chi = +1 and chi = -1 in
+each of the B pieces of (0, N), counted once per (D, B) on the first
+interval query at B.  Single values are read from the table too.  The
 formula above, evaluated pointwise through quadratic reciprocity, is the
 tests' independent oracle.  quad_char caches one QuadChar per D.
 """
@@ -26,8 +27,7 @@ tests' independent oracle.  quad_char caches one QuadChar per D.
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .arith import distinct_prime_factors, is_squarefree
@@ -51,9 +51,9 @@ __all__ = [
 ]
 
 
-# The largest N = |D| accepted.  Every route builds tables of N + 1 entries
-# (the character as one byte each, its prefix sums as four), and the sweep
-# cost grows with N, so a larger N is refused before any table exists.  It
+# The largest N = |D| accepted.  Every route reads the table of the N + 1
+# values of the character, one byte each, and the sweep cost grows with N,
+# so a larger N is refused before any table exists.  It
 # leaves room above D = -1000003, the largest single discriminant the
 # project's performance goals name.
 MAX_N = 10**7
@@ -137,18 +137,23 @@ class QuadChar:
 
     Every value, eval() included, comes from values(); the pointwise formula
     of the module docstring is kept only as the tests' oracle.  Instances
-    are immutable apart from lazily built tables, which callers must not
-    modify; they are safe to share.  Use quad_char(disc) to get the cached
-    instance.
+    are immutable apart from the table and the sign counts, each built once
+    on first use, which callers must not modify; they are safe to share.
+    Use quad_char(disc) to get the cached instance.
     """
 
     def __init__(self, disc: Discriminant):
         self.disc = disc
         self._values: array | None = None
-        self._prefix: array | None = None
+        self._counts: dict[int, tuple] = {}  # base -> sign_counts(base)
 
     def __repr__(self) -> str:
         return f"QuadChar(D={self.disc.D})"
+
+    @cached_property
+    def _primes(self) -> list[int]:
+        """The distinct primes dividing N, found once per D for values() and sign_counts()."""
+        return distinct_prime_factors(self.disc.N)
 
     def eval(self, x: int) -> int:
         """chi_D(x) in {-1, 0, +1} for any integer x; 0 exactly when gcd(x, N) > 1."""
@@ -166,7 +171,7 @@ class QuadChar:
         if self._values is None:
             n = self.disc.N
             row = array("b", _TWO_ROWS[self.disc.case])
-            for p in distinct_prime_factors(n):
+            for p in self._primes:
                 if p > 2:
                     q = len(row)
                     leg = _legendre_row(p)
@@ -177,16 +182,38 @@ class QuadChar:
             self._values = row
         return self._values
 
-    def prefix(self) -> array:
-        """P(t) = chi(0) + ... + chi(t) for t in [0, N], as a typed array.
+    def sign_counts(self, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(pos, neg): how many x in each piece floor(kN/B) < x <= floor((k+1)N/B)
+        have chi(x) = +1 and -1.  Counted once per base and kept.
 
-        Every interval total of the character is a difference of two entries.
-        Built on the first call rather than with values(), so a caller that
-        needs only the table does not hold a second one.
+        pos[k] counts the bytes 1 in the piece of the table, and neg[k] is the
+        piece's units less pos[k], where [1, t] holds sum mu(d) floor(t/d)
+        units over the squarefree divisors d of N.  A cut kN/B that is an
+        integer x with chi(x) != 0 would put x on both sides of it, so it
+        raises InternalError; the cuts of an even D at B = 4 or 12, such as
+        N/4, are integers with chi = 0.
         """
-        if self._prefix is None:
-            self._prefix = array("i", accumulate(self.values()))
-        return self._prefix
+        counts = self._counts.get(base)
+        if counts is None:
+            vals = self.values()
+            n = self.disc.N
+            cuts = []
+            for k in range(base + 1):
+                t, r = divmod(k * n, base)
+                if r == 0 and vals[t]:
+                    raise InternalError(
+                        f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {vals[t]}"
+                    )
+                cuts.append(t)
+            divisors = [(1, 1)]  # (d, mu(d))
+            for p in self._primes:
+                divisors += [(d * p, -mu) for d, mu in divisors]
+            units = [sum(mu * (t // d) for d, mu in divisors) for t in cuts]
+            table = vals.tobytes()
+            pos = tuple(table.count(1, a + 1, b + 1) for a, b in zip(cuts, cuts[1:]))
+            neg = tuple(b - a - c for a, b, c in zip(units, units[1:], pos))
+            counts = self._counts[base] = (pos, neg)
+        return counts
 
     def nonunit_flags(self) -> bytearray:
         """A new bytearray f of length N + 1 with f[x] = 1 exactly when chi(x) = 0."""

@@ -24,7 +24,8 @@ class ExcludedDiscriminantError(ValueError):
 
 
 class ModulusTooLargeError(ValueError):
-    """N = |D| above discriminant.MAX_N, or a period above expansion.MAX_PERIOD."""
+    """N = |D| above discriminant.MAX_N, a period above expansion.MAX_PERIOD,
+    or a base above classnum.MAX_BASE."""
 
 
 class InvalidGeneratorError(ValueError):

@@ -6,16 +6,16 @@ applies depends only on N mod 24.  For even discriminants the quarter-point
 sum equals h outright, and when 3 does not divide D the sixth/quarter pair
 (S1, S2) is (h, 0) or (0, h) according to D mod 3.
 
-Each check_* function recomputes the relevant table entries and compares
-them against the closed form, reporting both sides.  Every sum here is read
-off the character's prefix sums at cut points (classnum.cut_totals), so none
-makes a pass over x.
+Each check_* function reads the relevant table entries and compares them
+against the closed form, reporting both sides.  Every sum here is read off
+the per-(D, B) counts of QuadChar.sign_counts (for even D at B = 4 and 12,
+whose integral cuts carry chi = 0), so none makes a pass over x.
 """
 
 from dataclasses import dataclass
 
-from .classnum import HResult, cut_totals, ek_table, h_dirichlet
-from .discriminant import Case, Discriminant
+from .classnum import HResult, ek_table, h_dirichlet
+from .discriminant import Case, Discriminant, quad_char
 from .errors import DivisibleByThreeError, InternalError, WrongParityError
 
 __all__ = [
@@ -100,6 +100,12 @@ class TheoremCheck:
     passed: bool
 
 
+def _total(disc: Discriminant, base: int, k: int) -> int:
+    """The total of chi over 0 < x <= kN/B: the first k entries of E(B)."""
+    pos, neg = quad_char(disc).sign_counts(base)
+    return sum(pos[:k]) - sum(neg[:k])
+
+
 def _compare(disc: Discriminant, name: str, expected: dict, observed: dict) -> TheoremCheck:
     return TheoremCheck(disc, name, expected, observed, expected == observed)
 
@@ -148,7 +154,7 @@ def h_abs_sixth(disc: Discriminant) -> HResult:
     """Odd D coprime to 6: h = |sum of chi(x) over 0 < x < N/6|."""
     _require_odd(disc)
     _require_coprime_to_3(disc)
-    (raw,) = cut_totals(disc, 6, (1,))
+    raw = _total(disc, 6, 1)
     if raw == 0:
         raise InternalError(f"sixth-interval sum vanished at D={disc.D}")
     return HResult(disc, abs(raw), "sixth", raw)
@@ -178,7 +184,7 @@ def check_b12(disc: Discriminant, h: int, e0: int) -> TheoremCheck:
 def h_quarter_sum(disc: Discriminant) -> HResult:
     """Even D: h = sum of chi(x) over 0 < x < N/4, with no sign ambiguity."""
     _require_even(disc)
-    (raw,) = cut_totals(disc, 4, (1,))  # x = N/4 itself has chi = 0
+    raw = _total(disc, 4, 1)  # x = N/4 itself has chi = 0
     if raw < 1:
         raise InternalError(f"quarter sum {raw} < 1 at D={disc.D}")
     return HResult(disc, raw, "quarter", raw)
@@ -192,8 +198,8 @@ def check_s1_s2(disc: Discriminant) -> TheoremCheck:
     """
     _require_even(disc)
     _require_coprime_to_3(disc)
-    s1, quarter = cut_totals(disc, 12, (2, 3))  # P(N/6), P(N/4)
-    s2 = quarter - s1
+    s1 = _total(disc, 12, 2)  # up to N/6
+    s2 = _total(disc, 12, 3) - s1  # from N/6 to N/4
     h = h_dirichlet(disc).h
     want = (h, 0) if disc.D % 3 == 1 else (0, h)
     return _compare(

@@ -19,6 +19,7 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .classnum import (
+    _check_base,
     ek_table,
     h_dirichlet,
     h_floor_formula,
@@ -190,7 +191,8 @@ def verify_range(
     Records are deterministic for a fixed range and base list regardless of
     jobs; only elapsed time varies.  jobs is capped at os.cpu_count(): more
     workers than cores share the cores and only add start-up cost.  A range
-    reaching below -MAX_N is refused before anything is enumerated.
+    reaching below -MAX_N, or a base above classnum.MAX_BASE, is refused
+    before anything is enumerated.
     """
     if lo > hi:
         raise ValueError(f"empty range: from {lo} to {hi}")
@@ -201,8 +203,8 @@ def verify_range(
     bases = tuple(sorted(set(bases)))
     if not bases:
         raise ValueError("need at least one base")
-    if bases[0] < 2:
-        raise ValueError(f"bases must be >= 2, got {bases[0]}")
+    _check_base(bases[0])
+    _check_base(bases[-1])
 
     start = time.perf_counter()
     ds = [disc.D for disc in fundamental_discriminants(lo, hi)]

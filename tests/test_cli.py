@@ -107,6 +107,16 @@ class TestEk:
         out = capsys.readouterr().out
         assert "(0, 7/2)" in out and "(7/2, 7)" in out
 
+    def test_boundaries_read_once(self, capsys, monkeypatch):
+        from quadclass.classnum import EkTable
+
+        reads = []
+        real = EkTable.boundaries.fget
+        monkeypatch.setattr(EkTable, "boundaries", property(lambda t: reads.append(t) or real(t)))
+        assert main(["ek", "-D", "-7", "-B", "5"]) == 0
+        assert "(28/5, 7)" in capsys.readouterr().out
+        assert len(reads) == 1  # each read builds B + 1 Fractions
+
     def test_base_sharing_factor_rejected(self, capsys):
         assert main(["ek", "-D", "-15", "-B", "5"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -238,6 +248,29 @@ class TestTooLarge:
         monkeypatch.setattr(V, "fundamental_discriminants", refuse)
         assert main(["verify", "--from", str(-MAX_N - 1), "--to", "-5"]) == 2
         assert "MAX_N" in capsys.readouterr().err
+
+    def test_base(self, capsys, monkeypatch):
+        import quadclass.verify as V
+        from quadclass.classnum import MAX_BASE
+        from quadclass.discriminant import QuadChar
+
+        def refuse(*args):
+            raise AssertionError("counted or enumerated")
+
+        monkeypatch.setattr(QuadChar, "sign_counts", refuse)
+        monkeypatch.setattr(V, "fundamental_discriminants", refuse)
+        big = str(MAX_BASE + 1)
+        for method in ("floor", "factored"):
+            assert main(["classnum", "-D", "-7", "-B", big, "--method", method]) == 2
+        assert main(["ek", "-D", "-7", "-B", big]) == 2
+        assert main(["verify", "--from", "-8", "--to", "-7", "-B", "2", "-B", big]) == 2
+        assert capsys.readouterr().err.count(f"MAX_BASE={MAX_BASE}") == 4
+
+    def test_largest_base_accepted(self, capsys):
+        from quadclass.classnum import MAX_BASE
+
+        assert main(["classnum", "-D", "-7", "-B", str(MAX_BASE), "--method", "floor"]) == 0
+        assert "h(-7) = 1" in capsys.readouterr().out
 
     def test_girstmair_and_expand(self, capsys):
         from quadclass.discriminant import MAX_N

@@ -1,11 +1,11 @@
 """The shared kernel against independent oracles, and its guards under faults.
 
 h_theorem1 walks half of every orbit in place, k digits per step, and the
-interval routes read prefix sums at cut points; here each is diffed against
-a route that shares none of that code: the per-cycle reference
-h_cycle_contribution over all_cycles, the full period of expand, per-digit
-long division for the digit tables, and the per-x oracles in helpers
-(direct binning and the floor sum term by term).
+interval routes and closed forms read the sign counts QuadChar.sign_counts
+keeps per (D, B); here each is diffed against a route that shares none of
+that code: the per-cycle reference h_cycle_contribution over all_cycles, the
+full period of expand, per-digit long division for the digit tables, and
+the per-x oracles in helpers (direct binning and the floor sum term by term).
 """
 
 from fractions import Fraction
@@ -30,6 +30,7 @@ from quadclass.classnum import (
 )
 from quadclass.discriminant import QuadChar, from_discriminant, quad_char
 from quadclass.errors import InternalError
+from quadclass.verify import verify_discriminant
 
 from helpers import ek_by_binning, floor_sum_by_x, fundamentals_with_n_up_to
 
@@ -249,12 +250,47 @@ def test_integral_endpoint_is_caught(monkeypatch):
             route(disc, 14)
 
 
-def test_prefix_is_built_on_first_interval_query():
+def test_sign_counts_at_the_closed_form_bases_match_binning():
+    # The closed forms read the counts at B = 4 and 12 for even D, where cuts
+    # such as N/4 are integers, and at B = 6 for odd D coprime to 6.
+    seen = set()
+    for disc in fundamentals_with_n_up_to(5000):
+        n = disc.N
+        if n % 2 == 0:
+            bases = (4, 12)
+        elif n % 3:
+            bases = (6,)
+        else:
+            continue
+        char = quad_char(disc)
+        for base in bases:
+            _, pos, neg = ek_by_binning(char.values(), n, base)
+            assert char.sign_counts(base) == (tuple(pos), tuple(neg)), (disc.D, base)
+            seen.add((n % 2, gcd(base, n) > 1))
+    assert seen == {(0, True), (1, False)}
+
+
+@pytest.mark.parametrize(
+    "D, bases",
+    [
+        pytest.param(-47, set(range(2, 14)), id="odd"),  # coprime to every base 2..13
+        # 4004 = 4*7*11*13: the coprime bases, then the quarter and sixth-pair forms
+        pytest.param(-4004, {3, 5, 9, 4, 12}, id="even"),
+    ],
+)
+def test_sign_counts_are_counted_once_per_base_read(D, bases):
+    counted = []
+
+    class CountingMemo(dict):
+        def __setitem__(self, base, counts):
+            counted.append(base)
+            super().__setitem__(base, counts)
+
     quad_char.cache_clear()
-    disc = from_discriminant(-4004)
-    char = quad_char(disc)
+    char = quad_char(from_discriminant(D))
+    char._counts = CountingMemo()
     char.values()
-    h_dirichlet(disc)
-    assert char._prefix is None
-    h_from_ek(disc, 3)
-    assert char._prefix is not None
+    h_dirichlet(char.disc)
+    assert counted == []
+    assert verify_discriminant(D).passed
+    assert sorted(counted) == sorted(bases)
