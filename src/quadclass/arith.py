@@ -26,20 +26,28 @@ __all__ = [
 def multiplicative_order(b: int, n: int) -> int:
     """Least e >= 1 with b**e = 1 (mod n).  Requires gcd(b, n) = 1.
 
-    Starts from euler_phi(n), a multiple of the order, and strips prime
-    factors while the power still annihilates.  The cache is bounded: a
-    sweep asks for each (b, n) once, while expand() over every orbit of one
-    (b, n) asks repeatedly in a row.
+    Starts from phi(n), a multiple of the order, and strips the primes of
+    phi(n), from phi_with_primes, while the power still annihilates.  The
+    cache is bounded: a sweep asks for each (b, n) once, while expand() over
+    every orbit of one (b, n) asks repeatedly in a row.
     """
     if n <= 1:
         raise InvalidModulusError(f"modulus must exceed 1, got {n}")
     if gcd(b, n) != 1:
         raise NotCoprimeError(f"gcd({b}, {n}) > 1, order undefined")
-    order = euler_phi(n)
-    for p in distinct_prime_factors(order):
+    order, primes = phi_with_primes(n)
+    for p in primes:
         while order % p == 0 and pow(b, order // p, n) == 1:
             order //= p
     return order
+
+
+@lru_cache(maxsize=64)
+def phi_with_primes(n: int) -> tuple[int, tuple[int, ...]]:
+    """(phi(n), the distinct primes of phi(n)): factored once per n for every base
+    that multiplicative_order and classnum.h_theorem1's order certificate take."""
+    phi = euler_phi(n)
+    return phi, tuple(distinct_prime_factors(phi))
 
 
 def distinct_prime_factors(n: int) -> list[int]:

@@ -20,9 +20,9 @@ signed sum of its k base-B digits from a table, and the walk marks only the
 points it needs to tell the next class from the walked ones.  The girstmair
 route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
-table of QuadChar.sign_counts, counted once per (D, B) with one byte count
-per piece of the table, so each route costs O(B) once that count exists.
-Only h_dirichlet, the reference route, sums over x itself.
+table that QuadChar.sign_counts counts once per (D, B), with one byte count
+per piece of the table, and keeps, so each route costs O(B) once it exists.
+h_dirichlet, the reference route, sums over x by parts, in C.
 
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
@@ -31,19 +31,19 @@ failure raises InternalError because the identities admit no exceptions.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
-from operator import mul, sub
 
 from .arith import (
-    distinct_prime_factors,
-    euler_phi,
     is_prime,
     is_primitive_root,
     least_primitive_root,
     multiplicative_order,
+    phi_with_primes,
 )
 from .discriminant import (
     Discriminant,
+    EkTable,
     QuadChar,
     check_size,
     from_discriminant,
@@ -101,28 +101,6 @@ class HResult:
     raw_sum: int
 
 
-@dataclass(frozen=True)
-class EkTable:
-    """Character totals over the B subintervals (kN/B, (k+1)N/B) of (0, N).
-
-    entries[k] is E_k = sum of chi(x) over the k-th subinterval, and
-    pos_counts/neg_counts split its support by sign.  boundaries gives the
-    exact rational endpoints; none of the interior ones is an integer, so
-    membership is unambiguous.
-    """
-
-    disc: Discriminant
-    base: int
-    entries: tuple[int, ...]
-    pos_counts: tuple[int, ...]
-    neg_counts: tuple[int, ...]
-
-    @property
-    def boundaries(self) -> tuple[Fraction, ...]:
-        """The endpoints kN/B for k = 0..B."""
-        return tuple(Fraction(k * self.disc.N, self.base) for k in range(self.base + 1))
-
-
 def _check_base(base: int) -> None:
     """Raise unless 2 <= base <= MAX_BASE."""
     if base < 2:
@@ -154,9 +132,10 @@ def alternating_digit_sum(digits) -> int:
 
 @lru_cache(maxsize=256)
 def h_dirichlet(disc: Discriminant) -> HResult:
-    """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route."""
+    """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route, summed exactly by parts
+    in C: with S_k = chi(0) + ... + chi(k), the sum is (N + 1) S_N - sum_{k<=N} S_k."""
     vals = quad_char(disc).values()
-    raw = sum(map(mul, range(disc.N + 1), vals))
+    raw = (disc.N + 1) * sum(vals) - sum(accumulate(vals))
     return _exact_h(disc, -raw, disc.N, "dirichlet", raw)
 
 
@@ -304,11 +283,13 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     if self_paired and half % 2 == 0:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
     steps = half if self_paired else e
-    phi = euler_phi(n)
+    phi, phi_primes = phi_with_primes(n)
     if phi % (2 * steps):
         raise InternalError(f"{where}: cycle count phi({n}) / (2 * {steps}) is not an integer")
-    for q in distinct_prime_factors(e):
-        if pow(base, e // q, n) == 1:
+    # The check above makes e (steps or 2 steps) divide phi(N), so the primes
+    # of e are those of phi(N) that divide e: it must run before this loop.
+    for q in phi_primes:
+        if e % q == 0 and pow(base, e // q, n) == 1:
             raise InternalError(f"{where}: period {e} is not the order, {base}^{e // q} = 1 (mod {n})")
     walks = phi // (2 * steps)
     k, tab = _digit_table(base, s)
@@ -364,14 +345,13 @@ def h_floor_formula(disc: Discriminant, base: int) -> HResult:
 
 
 def ek_table(disc: Discriminant, base: int) -> EkTable:
-    """E_k = pos_k - neg_k over the B subintervals, from QuadChar.sign_counts.
+    """E_k = pos_k - neg_k over the B subintervals: the table QuadChar.sign_counts keeps.
 
     gcd(B, N) = 1 keeps every interior endpoint kN/B non-integral, so the
     k-th subinterval holds exactly the integers floor(kN/B) < x <= floor((k+1)N/B).
     """
     _check_coprime_base(disc, base)
-    pos, neg = quad_char(disc).sign_counts(base)
-    return EkTable(disc, base, tuple(map(sub, pos, neg)), pos, neg)
+    return quad_char(disc).ek_table(base)
 
 
 def _half_table(disc: Discriminant, base: int, b1: int, method: str) -> HResult:

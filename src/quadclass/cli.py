@@ -19,6 +19,7 @@ from math import gcd
 from . import expansion
 from .arith import euler_phi, least_primitive_root
 from .classnum import (
+    _check_base,
     ek_table,
     h_dirichlet,
     h_floor_formula,
@@ -93,6 +94,8 @@ def cmd_classnum(args) -> int:
     disc = from_discriminant(args.discriminant)
     methods = args.method or list(_METHODS)
     bases = args.base or [b for b in DEFAULT_BASES if gcd(b, disc.N) == 1]
+    for b in bases:
+        _check_base(b)  # before any route, or factored's divisor scan, runs
 
     results = []
     if "dirichlet" in methods:

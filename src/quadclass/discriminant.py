@@ -18,7 +18,7 @@ QuadChar is the one implementation of chi_D and the kernel every class
 number route shares: the table of chi_D over one period, built once per D
 as a product of periodic rows (the Jacobi symbol factored into Legendre
 rows, times the chi4/chi8 row), and the counts of chi = +1 and chi = -1 in
-each of the B pieces of (0, N), counted once per (D, B) on the first
+each of the B pieces of (0, N), kept as an EkTable per (D, B) from the first
 interval query at B.  Single values are read from the table too.  The
 formula above, evaluated pointwise through quadratic reciprocity, is the
 tests' independent oracle.  quad_char caches one QuadChar per D.
@@ -27,8 +27,9 @@ tests' independent oracle.  quad_char caches one QuadChar per D.
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from operator import mul
+from fractions import Fraction
+from functools import lru_cache
+from operator import sub
 
 from .arith import distinct_prime_factors, is_squarefree
 from .errors import (
@@ -44,6 +45,7 @@ __all__ = [
     "check_size",
     "Case",
     "Discriminant",
+    "EkTable",
     "from_generator",
     "from_discriminant",
     "QuadChar",
@@ -85,6 +87,9 @@ class Discriminant:
 
     def __str__(self) -> str:
         return f"D={self.D} (N={self.N}, m={self.m}, case {self.case.value})"
+
+    def __hash__(self) -> int:  # D fixes every other field, the Enum included
+        return hash(self.D)
 
 
 def from_generator(m: int) -> Discriminant:
@@ -132,6 +137,28 @@ def _classify(m: int) -> Discriminant:
     return Discriminant(4 * m, -4 * m, m, case)
 
 
+@dataclass(frozen=True)
+class EkTable:
+    """Character totals over the B subintervals (kN/B, (k+1)N/B) of (0, N).
+
+    entries[k] is E_k = sum of chi(x) over the k-th subinterval, and
+    pos_counts/neg_counts split its support by sign.  boundaries gives the
+    exact rational endpoints; none of the interior ones is an integer, so
+    membership is unambiguous.
+    """
+
+    disc: Discriminant
+    base: int
+    entries: tuple[int, ...]
+    pos_counts: tuple[int, ...]
+    neg_counts: tuple[int, ...]
+
+    @property
+    def boundaries(self) -> tuple[Fraction, ...]:
+        """The endpoints kN/B for k = 0..B."""
+        return tuple(Fraction(k * self.disc.N, self.base) for k in range(self.base + 1))
+
+
 class QuadChar:
     """The quadratic character chi_D, read from its table over one period.
 
@@ -145,15 +172,10 @@ class QuadChar:
     def __init__(self, disc: Discriminant):
         self.disc = disc
         self._values: array | None = None
-        self._counts: dict[int, tuple] = {}  # base -> sign_counts(base)
+        self._counts: dict[int, EkTable] = {}  # base -> the table of sign_counts(base)
 
     def __repr__(self) -> str:
         return f"QuadChar(D={self.disc.D})"
-
-    @cached_property
-    def _primes(self) -> list[int]:
-        """The distinct primes dividing N, found once per D for values() and sign_counts()."""
-        return distinct_prime_factors(self.disc.N)
 
     def eval(self, x: int) -> int:
         """chi_D(x) in {-1, 0, +1} for any integer x; 0 exactly when gcd(x, N) > 1."""
@@ -162,21 +184,17 @@ class QuadChar:
     def values(self) -> array:
         """Table (chi(0), chi(1), ..., chi(N)) as array('b'); chi(0) = chi(N) = 0.
 
-        Built once per instance as the elementwise product of periodic rows:
-        the Legendre row of each odd prime p dividing m, which is the Jacobi
-        symbol (x / |odd part of m|) factored by prime, times the row of
-        chi4, chi8 or chi4 chi8 for even D.  Rows with coprime periods q and
-        p combine into one row of period q p, which ends at period N.
+        Built once per instance as the product (_times) of periodic rows, largest
+        prime first: the Legendre row of each odd prime p | m, factors of the Jacobi
+        symbol (x / |odd part of m|), then the chi4/chi8 row for even D.
         """
         if self._values is None:
-            n = self.disc.N
-            row = array("b", _TWO_ROWS[self.disc.case])
-            for p in self._primes:
-                if p > 2:
-                    q = len(row)
-                    leg = _legendre_row(p)
-                    row = leg if q == 1 else array("b", map(mul, row * p, leg * q))
-            if len(row) != n:
+            row = array("b", [1])
+            self._primes = distinct_prime_factors(self.disc.N)  # sign_counts reads them too
+            for p in reversed(self._primes):
+                f = _legendre_row(p) if p > 2 else array("b", _TWO_ROWS[self.disc.case])
+                row = f if len(row) == 1 else _times(row, f)
+            if len(row) != self.disc.N:
                 raise InternalError(f"character row of period {len(row)} at D={self.disc.D}")
             row.append(0)  # chi(N) = chi(0)
             self._values = row
@@ -184,7 +202,7 @@ class QuadChar:
 
     def sign_counts(self, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(pos, neg): how many x in each piece floor(kN/B) < x <= floor((k+1)N/B)
-        have chi(x) = +1 and -1.  Counted once per base and kept.
+        have chi(x) = +1 and -1.  Counted once per base, kept as an EkTable.
 
         pos[k] counts the bytes 1 in the piece of the table, and neg[k] is the
         piece's units less pos[k], where [1, t] holds sum mu(d) floor(t/d)
@@ -193,8 +211,8 @@ class QuadChar:
         raises InternalError; the cuts of an even D at B = 4 or 12, such as
         N/4, are integers with chi = 0.
         """
-        counts = self._counts.get(base)
-        if counts is None:
+        table = self._counts.get(base)
+        if table is None:
             vals = self.values()
             n = self.disc.N
             cuts = []
@@ -209,11 +227,16 @@ class QuadChar:
             for p in self._primes:
                 divisors += [(d * p, -mu) for d, mu in divisors]
             units = [sum(mu * (t // d) for d, mu in divisors) for t in cuts]
-            table = vals.tobytes()
-            pos = tuple(table.count(1, a + 1, b + 1) for a, b in zip(cuts, cuts[1:]))
+            data = vals.tobytes()
+            pos = tuple(data.count(1, a + 1, b + 1) for a, b in zip(cuts, cuts[1:]))
             neg = tuple(b - a - c for a, b, c in zip(units, units[1:], pos))
-            counts = self._counts[base] = (pos, neg)
-        return counts
+            table = self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
+        return table.pos_counts, table.neg_counts
+
+    def ek_table(self, base: int) -> EkTable:
+        """The EkTable, E_k = pos[k] - neg[k], that sign_counts(base) counts and keeps."""
+        self.sign_counts(base)
+        return self._counts[base]
 
     def nonunit_flags(self) -> bytearray:
         """A new bytearray f of length N + 1 with f[x] = 1 exactly when chi(x) = 0."""
@@ -232,15 +255,31 @@ _TWO_ROWS = {
 
 # values().tobytes() holds chi(x) as one byte, 0 exactly when chi(x) = 0.
 _NONUNIT = bytes([1]) + bytes(255)
+_NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signed bytes: 1 <-> 255 (-1)
 
 
 def _legendre_row(p: int) -> array:
     """(x / p) for x in [0, p): +1 on the nonzero squares, -1 elsewhere, 0 at 0."""
     row = array("b", [-1]) * p
-    row[0] = 0
-    for i in range(1, (p + 1) // 2):
-        row[i * i % p] = 1
+    with memoryview(row).cast("B") as view:  # cheaper stores than the array's
+        view[0] = 0
+        for i in range(1, (p + 1) // 2):
+            view[i * i % p] = 1
     return row
+
+
+def _times(a: array, b: array) -> array:
+    """The product of two rows of coprime periods q <= Q: its x = r (mod q) are the slice
+    [r::q] of the longer row repeated q times, times the shorter row's entry r."""
+    short, long = sorted((a, b), key=len)
+    q = len(short)
+    ext = bytes(long) * q
+    out = bytearray(len(ext))
+    for r, c in enumerate(short):
+        if c:
+            out[r::q] = ext[r::q] if c == 1 else ext[r::q].translate(_NEG)
+    del ext  # before the copy below, which would otherwise hold three periods
+    return array("b", out)
 
 
 @lru_cache(maxsize=64)

@@ -3,7 +3,7 @@
 Each oracle computes the same quantity as the library through a different
 algorithm (reduced-form counting, Kronecker symbols, the character formula
 through quadratic reciprocity, repeat-detection long division, direct
-binning, per-x floor sums), so agreement is meaningful.
+binning, per-x floor and Dirichlet sums), so agreement is meaningful.
 """
 
 from math import gcd
@@ -153,6 +153,11 @@ def ek_by_binning(vals, n: int, base: int):
 def floor_sum_by_x(vals, n: int, base: int) -> int:
     """-sum of chi(x) floor(base*x/n) over x in [1, n), one term per x."""
     return -sum(vals[x] * (base * x // n) for x in range(1, n))
+
+
+def dirichlet_sum_by_x(vals, n: int) -> int:
+    """sum of x chi(x) over x in [1, n], one term per x."""
+    return sum(x * vals[x] for x in range(1, n + 1))
 
 
 def digits_value(digits, base: int) -> int:

@@ -266,6 +266,18 @@ class TestTooLarge:
         assert main(["verify", "--from", "-8", "--to", "-7", "-B", "2", "-B", big]) == 2
         assert capsys.readouterr().err.count(f"MAX_BASE={MAX_BASE}") == 4
 
+    def test_prime_base_refused_before_any_route(self, capsys, monkeypatch):
+        import quadclass.cli as cli
+        from quadclass.classnum import MAX_BASE
+
+        def refuse(*args):
+            raise AssertionError("factored route ran")
+
+        monkeypatch.setattr(cli, "h_from_ek_factored", refuse)
+        # 100003 > MAX_BASE is prime: factored's divisor scan would find no B1.
+        assert main(["classnum", "-D", "-7", "-B", "100003", "--method", "factored"]) == 2
+        assert f"MAX_BASE={MAX_BASE}" in capsys.readouterr().err
+
     def test_largest_base_accepted(self, capsys):
         from quadclass.classnum import MAX_BASE
 

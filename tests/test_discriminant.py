@@ -1,9 +1,12 @@
 import pytest
 from math import gcd
 
+from sympy import totient
+
 from quadclass.discriminant import (
     MAX_N,
     Case,
+    QuadChar,
     from_discriminant,
     from_generator,
     quad_char,
@@ -170,6 +173,25 @@ class TestCharacter:
                 assert vals[x] == chi_by_reciprocity(disc, x), (disc.D, x)
             cases.add(disc.case)
         assert cases == set(Case)
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            pytest.param(-9988440, id="even"),  # 2^3 * 3*5*7*11*23*47, close to MAX_N
+            pytest.param(-255255, id="odd"),  # 3*5*7*11*13*17
+        ],
+    )
+    def test_product_rows_at_large_composite_n(self, D):
+        # Six and seven prime rows multiply here, each product taken by slices
+        # over the shorter period.  A QuadChar of its own keeps the table out
+        # of the quad_char cache.
+        disc = from_discriminant(D)
+        n = disc.N
+        vals = QuadChar(disc).values()
+        assert len(vals) == n + 1
+        for x in [*range(3000), *(i * n // 3000 for i in range(3000))]:
+            assert vals[x] == chi_by_reciprocity(disc, x), (D, x)
+        assert vals.tobytes().count(0) == n + 1 - totient(n)
 
     def test_chi_at_minus_one(self):
         for disc in fundamentals_with_n_up_to(500):

@@ -5,14 +5,17 @@ interval routes and closed forms read the sign counts QuadChar.sign_counts
 keeps per (D, B); here each is diffed against a route that shares none of
 that code: the per-cycle reference h_cycle_contribution over all_cycles, the
 full period of expand, per-digit long division for the digit tables, and
-the per-x oracles in helpers (direct binning and the floor sum term by term).
+the per-x oracles in helpers (direct binning, and the floor and Dirichlet
+sums term by term).
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import quadclass.arith as arith
 import quadclass.classnum as classnum
 from quadclass.arith import is_prime, is_primitive_root, least_primitive_root
 from quadclass.classnum import (
@@ -30,9 +33,9 @@ from quadclass.classnum import (
 )
 from quadclass.discriminant import QuadChar, from_discriminant, quad_char
 from quadclass.errors import InternalError
-from quadclass.verify import verify_discriminant
+from quadclass.verify import DEFAULT_BASES, verify_discriminant
 
-from helpers import ek_by_binning, floor_sum_by_x, fundamentals_with_n_up_to
+from helpers import dirichlet_sum_by_x, ek_by_binning, floor_sum_by_x, fundamentals_with_n_up_to
 
 BASES = range(2, 14)
 
@@ -187,6 +190,37 @@ def test_interval_routes_match_per_x_oracles():
                 blocks = [sum(entries[j * b2 : (j + 1) * b2]) for j in range(b1)]
                 raw = sum((b1 - 1 - 2 * j) * e for j, e in enumerate(blocks[: b1 // 2]))
                 assert h_from_ek_factored(disc, base, b1).raw_sum == raw, (disc.D, base, b1)
+
+
+def test_dirichlet_sum_by_parts_matches_per_x_sum():
+    discs = [*fundamentals_with_n_up_to(5000), from_discriminant(-300007)]
+    for disc in discs:
+        want = dirichlet_sum_by_x(quad_char(disc).values(), disc.N)
+        assert h_dirichlet(disc).raw_sum == want, disc.D
+
+
+@pytest.mark.parametrize("D", [-47, -4004])
+def test_n_is_factored_once_per_discriminant(monkeypatch, D):
+    # N and phi(N) are factored once per D, however many bases share them.
+    calls = []
+    real = arith.distinct_prime_factors
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "quadclass" and hasattr(module, "distinct_prime_factors"):
+            monkeypatch.setattr(module, "distinct_prime_factors", counting)
+    first = next(b for b in DEFAULT_BASES if gcd(b, D) == 1)
+    counts = []
+    for bases in ((first,), DEFAULT_BASES):
+        for cache in (quad_char, h_dirichlet, arith.multiplicative_order, arith.phi_with_primes):
+            cache.cache_clear()
+        calls.clear()
+        assert verify_discriminant(D, bases).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 # One (D, B) per branch of the walk: chi(2 mod 47) = +1 with order 23;
