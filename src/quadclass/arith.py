@@ -7,7 +7,7 @@ itself is tabulated by discriminant.QuadChar, from Legendre rows.
 """
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import InternalError, InvalidModulusError, NotCoprimeError
 
@@ -44,8 +44,8 @@ def multiplicative_order(b: int, n: int) -> int:
 
 @lru_cache(maxsize=64)
 def phi_with_primes(n: int) -> tuple[int, tuple[int, ...]]:
-    """(phi(n), the distinct primes of phi(n)): factored once per n for every base
-    that multiplicative_order and classnum.h_theorem1's order certificate take."""
+    """(phi(n), the distinct primes of phi(n)): factored once per n for every base that
+    multiplicative_order, is_primitive_root and h_theorem1's order certificate take."""
     phi = euler_phi(n)
     return phi, tuple(distinct_prime_factors(phi))
 
@@ -69,14 +69,7 @@ def is_squarefree(n: int) -> bool:
     """True when no prime square divides n.  Requires n >= 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 2
-    return True
+    return prod(distinct_prime_factors(n)) == n
 
 
 def euler_phi(n: int) -> int:
@@ -111,7 +104,7 @@ def is_primitive_root(b: int, p: int) -> bool:
         raise ValueError(f"need a prime modulus, got {p}")
     if gcd(b, p) != 1:
         return False
-    return all(pow(b, (p - 1) // q, p) != 1 for q in distinct_prime_factors(p - 1))
+    return all(pow(b, (p - 1) // q, p) != 1 for q in phi_with_primes(p)[1])
 
 
 def least_primitive_root(p: int) -> int:

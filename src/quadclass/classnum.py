@@ -20,7 +20,7 @@ signed sum of its k base-B digits from a table, and the walk marks only the
 points it needs to tell the next class from the walked ones.  The girstmair
 route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
-table that QuadChar.sign_counts counts once per (D, B), with one byte count
+table that QuadChar.ek_table counts once per (D, B), with one byte count
 per piece of the table, and keeps, so each route costs O(B) once it exists.
 h_dirichlet, the reference route, sums over x by parts, in C.
 
@@ -345,7 +345,7 @@ def h_floor_formula(disc: Discriminant, base: int) -> HResult:
 
 
 def ek_table(disc: Discriminant, base: int) -> EkTable:
-    """E_k = pos_k - neg_k over the B subintervals: the table QuadChar.sign_counts keeps.
+    """E_k = pos_k - neg_k over the B subintervals: the table QuadChar.ek_table keeps.
 
     gcd(B, N) = 1 keeps every interior endpoint kN/B non-integral, so the
     k-th subinterval holds exactly the integers floor(kN/B) < x <= floor((k+1)N/B).

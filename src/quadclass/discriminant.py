@@ -21,7 +21,7 @@ rows, times the chi4/chi8 row), and the counts of chi = +1 and chi = -1 in
 each of the B pieces of (0, N), kept as an EkTable per (D, B) from the first
 interval query at B.  Single values are read from the table too.  The
 formula above, evaluated pointwise through quadratic reciprocity, is the
-tests' independent oracle.  quad_char caches one QuadChar per D.
+tests' independent oracle.  quad_char keeps the QuadChar of the last D.
 """
 
 from array import array
@@ -143,8 +143,8 @@ class EkTable:
 
     entries[k] is E_k = sum of chi(x) over the k-th subinterval, and
     pos_counts/neg_counts split its support by sign.  boundaries gives the
-    exact rational endpoints; none of the interior ones is an integer, so
-    membership is unambiguous.
+    exact rational endpoints.  An interior one is an integer only when
+    gcd(B, N) > 1, as N/4 is for even D at B = 4 and 12, and chi is 0 there.
     """
 
     disc: Discriminant
@@ -172,7 +172,7 @@ class QuadChar:
     def __init__(self, disc: Discriminant):
         self.disc = disc
         self._values: array | None = None
-        self._counts: dict[int, EkTable] = {}  # base -> the table of sign_counts(base)
+        self._counts: dict[int, EkTable] = {}  # base -> ek_table(base)
 
     def __repr__(self) -> str:
         return f"QuadChar(D={self.disc.D})"
@@ -190,7 +190,7 @@ class QuadChar:
         """
         if self._values is None:
             row = array("b", [1])
-            self._primes = distinct_prime_factors(self.disc.N)  # sign_counts reads them too
+            self._primes = distinct_prime_factors(self.disc.N)  # ek_table reads them too
             for p in reversed(self._primes):
                 f = _legendre_row(p) if p > 2 else array("b", _TWO_ROWS[self.disc.case])
                 row = f if len(row) == 1 else _times(row, f)
@@ -200,9 +200,9 @@ class QuadChar:
             self._values = row
         return self._values
 
-    def sign_counts(self, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(pos, neg): how many x in each piece floor(kN/B) < x <= floor((k+1)N/B)
-        have chi(x) = +1 and -1.  Counted once per base, kept as an EkTable.
+    def ek_table(self, base: int) -> EkTable:
+        """The EkTable at base: pos[k], neg[k] count chi(x) = +1, -1 in the piece
+        floor(kN/B) < x <= floor((k+1)N/B), E_k = pos[k] - neg[k].  Counted once, kept.
 
         pos[k] counts the bytes 1 in the piece of the table, and neg[k] is the
         piece's units less pos[k], where [1, t] holds sum mu(d) floor(t/d)
@@ -231,22 +231,16 @@ class QuadChar:
             pos = tuple(data.count(1, a + 1, b + 1) for a, b in zip(cuts, cuts[1:]))
             neg = tuple(b - a - c for a, b, c in zip(units, units[1:], pos))
             table = self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
-        return table.pos_counts, table.neg_counts
-
-    def ek_table(self, base: int) -> EkTable:
-        """The EkTable, E_k = pos[k] - neg[k], that sign_counts(base) counts and keeps."""
-        self.sign_counts(base)
-        return self._counts[base]
+        return table
 
     def nonunit_flags(self) -> bytearray:
         """A new bytearray f of length N + 1 with f[x] = 1 exactly when chi(x) = 0."""
         return bytearray(self.values().tobytes().translate(_NONUNIT))
 
 
-# One period of chi4, chi8 or chi4 chi8 for even D; odd D starts from the
-# constant row of period 1.
+# One period of chi4, chi8 or chi4 chi8: the row of the prime 2, which only an
+# even D has.
 _TWO_ROWS = {
-    Case.ODD: array("b", [1]),
     Case.D1: array("b", [0, 1, 0, -1]),
     Case.D2: array("b", [0, 1, 0, -1, 0, -1, 0, 1]),
     Case.D3: array("b", [0, 1, 0, 1, 0, -1, 0, -1]),
@@ -282,7 +276,7 @@ def _times(a: array, b: array) -> array:
     return array("b", out)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def quad_char(disc: Discriminant) -> QuadChar:
-    """Shared QuadChar for disc; the value table is built at most once."""
+    """Shared QuadChar for disc, the last D's only: all routes of one D read it."""
     return QuadChar(disc)

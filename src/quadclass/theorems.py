@@ -8,7 +8,7 @@ sum equals h outright, and when 3 does not divide D the sixth/quarter pair
 
 Each check_* function reads the relevant table entries and compares them
 against the closed form, reporting both sides.  Every sum here is read off
-the per-(D, B) counts of QuadChar.sign_counts (for even D at B = 4 and 12,
+the per-(D, B) table of QuadChar.ek_table (for even D at B = 4 and 12,
 whose integral cuts carry chi = 0), so none makes a pass over x.
 """
 
@@ -102,32 +102,34 @@ class TheoremCheck:
 
 def _total(disc: Discriminant, base: int, k: int) -> int:
     """The total of chi over 0 < x <= kN/B: the first k entries of E(B)."""
-    pos, neg = quad_char(disc).sign_counts(base)
-    return sum(pos[:k]) - sum(neg[:k])
+    return sum(quad_char(disc).ek_table(base).entries[:k])
 
 
 def _compare(disc: Discriminant, name: str, expected: dict, observed: dict) -> TheoremCheck:
     return TheoremCheck(disc, name, expected, observed, expected == observed)
 
 
+def _check_entries(
+    disc: Discriminant, name: str, base: int, want: tuple[int, ...], first: int = 0
+) -> TheoremCheck:
+    """Compare want with E_first, E_(first+1), ... of the base-B table, both keyed "E<k>"."""
+    got = ek_table(disc, base).entries[first : first + len(want)]
+    keys = [f"E{k}" for k in range(first, first + len(want))]
+    return _compare(disc, name, dict(zip(keys, want)), dict(zip(keys, got)))
+
+
 def check_b2(disc: Discriminant) -> TheoremCheck:
     """Odd D: E_0(2) is h when N = 7 (mod 8) and 3h when N = 3 (mod 8)."""
     _require_odd(disc)
     h = h_dirichlet(disc).h
-    want = h if disc.N % 8 == 7 else 3 * h
-    got = ek_table(disc, 2).entries[0]
-    return _compare(disc, "base2", {"E0": want}, {"E0": got})
+    return _check_entries(disc, "base2", 2, (h if disc.N % 8 == 7 else 3 * h,))
 
 
 def check_b4(disc: Discriminant) -> TheoremCheck:
     """Odd D: (E_0(4), E_1(4)) is (h, 0) or (0, 3h) by N mod 8."""
     _require_odd(disc)
     h = h_dirichlet(disc).h
-    e0, e1 = ek_table(disc, 4).entries[:2]
-    want = (h, 0) if disc.N % 8 == 7 else (0, 3 * h)
-    return _compare(
-        disc, "base4", {"E0": want[0], "E1": want[1]}, {"E0": e0, "E1": e1}
-    )
+    return _check_entries(disc, "base4", 4, (h, 0) if disc.N % 8 == 7 else (0, 3 * h))
 
 
 def check_b6(disc: Discriminant) -> TheoremCheck:
@@ -140,14 +142,7 @@ def check_b6(disc: Discriminant) -> TheoremCheck:
         7: (h, h, -h),
         19: (-h, 3 * h, h),
     }
-    want = rows[cls.residue]
-    got = ek_table(disc, 6).entries[:3]
-    return _compare(
-        disc,
-        "base6",
-        {"E0": want[0], "E1": want[1], "E2": want[2]},
-        {"E0": got[0], "E1": got[1], "E2": got[2]},
-    )
+    return _check_entries(disc, "base6", 6, rows[cls.residue])
 
 
 def h_abs_sixth(disc: Discriminant) -> HResult:
@@ -173,12 +168,7 @@ def check_b12(disc: Discriminant, h: int, e0: int) -> TheoremCheck:
         7: (h - e0, 0, h, -e0, -h + e0),
         19: (-h - e0, h, 2 * h, 2 * h - e0, -h + e0),
     }
-    want = rows[cls.residue]
-    got = ek_table(disc, 12).entries[1:6]
-    names = ("E1", "E2", "E3", "E4", "E5")
-    return _compare(
-        disc, "base12", dict(zip(names, want)), dict(zip(names, got))
-    )
+    return _check_entries(disc, "base12", 12, rows[cls.residue], first=1)
 
 
 def h_quarter_sum(disc: Discriminant) -> HResult:

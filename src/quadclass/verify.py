@@ -130,31 +130,22 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
     disc = from_discriminant(D)
     try:
         h = h_dirichlet(disc).h
+        coprime = [b for b in bases if gcd(b, disc.N) == 1]
         formulas = {}
-        agree = True
         for family, fn in (
             ("cycle", h_theorem1),
             ("floor", h_floor_formula),
             ("interval", h_from_ek),
         ):
             for b in bases:
-                key = f"{family}_B{b}"
-                if gcd(b, disc.N) != 1:
-                    formulas[key] = None
-                    continue
-                value = fn(disc, b).h
-                formulas[key] = value
-                agree = agree and value == h
+                formulas[f"{family}_B{b}"] = fn(disc, b).h if b in coprime else None
 
-        factored = []
-        for b in bases:
-            if gcd(b, disc.N) != 1:
-                continue
-            for b1 in range(2, b):
-                if b % b1 == 0:
-                    factored.append(h_from_ek_factored(disc, b, b1).h == h)
+        factored = [
+            h_from_ek_factored(disc, b, b1).h == h
+            for b in coprime for b1 in range(2, b) if b % b1 == 0
+        ]
         factored_ok = all(factored) if factored else None
-        agree = agree and factored_ok is not False
+        agree = factored_ok is not False and all(v is None or v == h for v in formulas.values())
 
         checks = dict.fromkeys(CHECK_KEYS)
         if disc.case is Case.ODD:

@@ -6,6 +6,7 @@ from sympy import isprime as sympy_isprime, totient
 from sympy.functions.combinatorial.numbers import jacobi_symbol
 from sympy.ntheory import n_order, primitive_root
 
+import quadclass.arith as arith
 from quadclass.arith import (
     euler_phi,
     is_prime,
@@ -125,6 +126,21 @@ class TestPrimitiveRoots:
         for p in (7, 11, 23, 43):
             found = sum(1 for b in range(1, p) if is_primitive_root(b, p))
             assert found == euler_phi(p - 1)
+
+    def test_p_minus_1_is_factored_once_per_prime(self, monkeypatch):
+        # The candidates least_primitive_root tries share one factoring of p - 1:
+        # 191 tries 2..19, 11 succeeds at 2.
+        calls = []
+        real = arith.distinct_prime_factors
+        monkeypatch.setattr(arith, "distinct_prime_factors", lambda n: calls.append(n) or real(n))
+        counts = []
+        for p in (11, 191):
+            arith.phi_with_primes.cache_clear()
+            arith.multiplicative_order.cache_clear()
+            calls.clear()
+            least_primitive_root(p)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_order_of_least_root_is_full(self):
         for p in (7, 11, 43, 163, 1999):

@@ -257,7 +257,7 @@ class TestTooLarge:
         def refuse(*args):
             raise AssertionError("counted or enumerated")
 
-        monkeypatch.setattr(QuadChar, "sign_counts", refuse)
+        monkeypatch.setattr(QuadChar, "ek_table", refuse)
         monkeypatch.setattr(V, "fundamental_discriminants", refuse)
         big = str(MAX_BASE + 1)
         for method in ("floor", "factored"):

@@ -1,8 +1,8 @@
 """The shared kernel against independent oracles, and its guards under faults.
 
 h_theorem1 walks half of every orbit in place, k digits per step, and the
-interval routes and closed forms read the sign counts QuadChar.sign_counts
-keeps per (D, B); here each is diffed against a route that shares none of
+interval routes and closed forms read the EkTable QuadChar.ek_table keeps
+per (D, B); here each is diffed against a route that shares none of
 that code: the per-cycle reference h_cycle_contribution over all_cycles, the
 full period of expand, per-digit long division for the digit tables, and
 the per-x oracles in helpers (direct binning, and the floor and Dirichlet
@@ -299,7 +299,8 @@ def test_sign_counts_at_the_closed_form_bases_match_binning():
         char = quad_char(disc)
         for base in bases:
             _, pos, neg = ek_by_binning(char.values(), n, base)
-            assert char.sign_counts(base) == (tuple(pos), tuple(neg)), (disc.D, base)
+            table = char.ek_table(base)
+            assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg)), (disc.D, base)
             seen.add((n % 2, gcd(base, n) > 1))
     assert seen == {(0, True), (1, False)}
 

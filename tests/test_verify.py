@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
+from quadclass.discriminant import quad_char
 from quadclass.verify import (
     CHECK_KEYS,
     DEFAULT_BASES,
@@ -140,6 +142,19 @@ class TestVerifyRange:
         monkeypatch.setattr(V, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(V.os, "cpu_count", lambda: 1)
         assert verify_range(-40, -5, bases=(2, 3), jobs=10**6).records == report.records
+
+    def test_one_character_table_outlives_a_sweep(self):
+        # Each D's table of N + 1 bytes is dropped once the next D is asked for.
+        verify_range(-40, -5, bases=(2, 3))  # fills the per-base caches first
+        quad_char.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert verify_range(-100060, -100003, bases=(2, 3)).ok  # 21 D
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * 100060
 
     def test_range_with_no_fundamentals(self):
         report = verify_range(-6, -5, bases=(2,))
