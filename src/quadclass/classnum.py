@@ -20,8 +20,8 @@ signed sum of its k base-B digits from a table, and the walk marks only the
 points it needs to tell the next class from the walked ones.  The girstmair
 route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
-table that QuadChar.ek_table counts once per (D, B), with one byte count
-per piece of the table, and keeps, so each route costs O(B) once it exists.
+table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
+in one pass over their merged cuts, so each route costs O(B) once it exists.
 h_dirichlet, the reference route, sums over x by parts, in C.
 
 Every route checks divisibility and positivity of its final division; a

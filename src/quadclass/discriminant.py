@@ -17,18 +17,20 @@ identities this package checks.
 QuadChar is the one implementation of chi_D and the kernel every class
 number route shares: the table of chi_D over one period, built once per D
 as a product of periodic rows (the Jacobi symbol factored into Legendre
-rows, times the chi4/chi8 row), and the counts of chi = +1 and chi = -1 in
-each of the B pieces of (0, N), kept as an EkTable per (D, B) from the first
-interval query at B.  Single values are read from the table too.  The
+rows, times the chi4/chi8 row), and the EkTable of counts of chi = +1, -1
+in the B pieces of (0, N) per (D, B), one pass over the merged cuts of all
+the bases asked for at once.  Single values are read from the table too.  The
 formula above, evaluated pointwise through quadratic reciprocity, is the
 tests' independent oracle.  quad_char keeps the QuadChar of the last D.
 """
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import sub
 
 from .arith import distinct_prime_factors, is_squarefree
@@ -164,7 +166,7 @@ class QuadChar:
 
     Every value, eval() included, comes from values(); the pointwise formula
     of the module docstring is kept only as the tests' oracle.  Instances
-    are immutable apart from the table and the sign counts, each built once
+    are immutable apart from the table and the EkTables, each built once
     on first use, which callers must not modify; they are safe to share.
     Use quad_char(disc) to get the cached instance.
     """
@@ -172,7 +174,7 @@ class QuadChar:
     def __init__(self, disc: Discriminant):
         self.disc = disc
         self._values: array | None = None
-        self._counts: dict[int, EkTable] = {}  # base -> ek_table(base)
+        self._counts: dict[int, EkTable] = {}  # base -> its EkTable
 
     def __repr__(self) -> str:
         return f"QuadChar(D={self.disc.D})"
@@ -190,7 +192,7 @@ class QuadChar:
         """
         if self._values is None:
             row = array("b", [1])
-            self._primes = distinct_prime_factors(self.disc.N)  # ek_table reads them too
+            self._primes = distinct_prime_factors(self.disc.N)  # ek_tables reads them too
             for p in reversed(self._primes):
                 f = _legendre_row(p) if p > 2 else array("b", _TWO_ROWS[self.disc.case])
                 row = f if len(row) == 1 else _times(row, f)
@@ -201,37 +203,48 @@ class QuadChar:
         return self._values
 
     def ek_table(self, base: int) -> EkTable:
-        """The EkTable at base: pos[k], neg[k] count chi(x) = +1, -1 in the piece
-        floor(kN/B) < x <= floor((k+1)N/B), E_k = pos[k] - neg[k].  Counted once, kept.
+        """The EkTable at base, counted by ek_tables on first use and kept."""
+        return self._counts.get(base) or self.ek_tables((base,))[0]
 
-        pos[k] counts the bytes 1 in the piece of the table, and neg[k] is the
-        piece's units less pos[k], where [1, t] holds sum mu(d) floor(t/d)
-        units over the squarefree divisors d of N.  A cut kN/B that is an
-        integer x with chi(x) != 0 would put x on both sides of it, so it
-        raises InternalError; the cuts of an even D at B = 4 or 12, such as
-        N/4, are integers with chi = 0.
+    def ek_tables(self, bases: tuple[int, ...]) -> list[EkTable]:
+        """The EkTables at bases, in their order, counting those not kept yet in one pass.
+
+        pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  The new
+        bases' cuts merge into one sorted list, with one count of the bytes 1 per fine piece
+        and, per cut t, the units sum mu(d) floor(t/d) (squarefree d | N) in [1, t]; each base
+        takes differences of these running totals at its own cuts.  An integral cut x with
+        chi(x) != 0 would lie on both sides, so it raises InternalError before any base is
+        kept; N/4, a cut of even D at B = 4 and 12, has chi = 0.
         """
-        table = self._counts.get(base)
-        if table is None:
-            vals = self.values()
-            n = self.disc.N
-            cuts = []
-            for k in range(base + 1):
-                t, r = divmod(k * n, base)
-                if r == 0 and vals[t]:
-                    raise InternalError(
-                        f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {vals[t]}"
-                    )
-                cuts.append(t)
+        new = [b for b in dict.fromkeys(bases) if b not in self._counts]
+        if new:
+            vals, n = self.values(), self.disc.N
+            cuts = {}  # base -> floor(kN/B) for k = 0..B
+            for base in new:
+                cuts[base] = row = []
+                for k in range(base + 1):
+                    t, r = divmod(k * n, base)
+                    if r == 0 and vals[t]:
+                        raise InternalError(
+                            f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {vals[t]}"
+                        )
+                    row.append(t)
             divisors = [(1, 1)]  # (d, mu(d))
             for p in self._primes:
                 divisors += [(d * p, -mu) for d, mu in divisors]
-            units = [sum(mu * (t // d) for d, mu in divisors) for t in cuts]
-            data = vals.tobytes()
-            pos = tuple(data.count(1, a + 1, b + 1) for a, b in zip(cuts, cuts[1:]))
-            neg = tuple(b - a - c for a, b, c in zip(units, units[1:], pos))
-            table = self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
-        return table
+            # pos_to[i] and units_to[i] count chi = +1 and the units in [1, points[i]].
+            points = sorted(set().union(*cuts.values()))
+            data = memoryview(vals)[1:].tobytes()  # data[a:b] is chi(a + 1), ..., chi(b)
+            pos_to = array("q", accumulate(map(data.count, repeat(1), points, points[1:]), initial=0))
+            units_to = array("q", [sum(mu * (t // d) for d, mu in divisors) for t in points])
+            for base, row in cuts.items():
+                at = array("q", map(bisect_left, repeat(points), row))  # row[k] is points[at[k]]
+                ahead = at[1:]
+                pos = tuple(map(sub, map(pos_to.__getitem__, ahead), map(pos_to.__getitem__, at)))
+                units = map(sub, map(units_to.__getitem__, ahead), map(units_to.__getitem__, at))
+                neg = tuple(map(sub, units, pos))
+                self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
+        return [self._counts[b] for b in bases]
 
     def nonunit_flags(self) -> bytearray:
         """A new bytearray f of length N + 1 with f[x] = 1 exactly when chi(x) = 0."""

@@ -8,8 +8,8 @@ sum equals h outright, and when 3 does not divide D the sixth/quarter pair
 
 Each check_* function reads the relevant table entries and compares them
 against the closed form, reporting both sides.  Every sum here is read off
-the per-(D, B) table of QuadChar.ek_table (for even D at B = 4 and 12,
-whose integral cuts carry chi = 0), so none makes a pass over x.
+the E_k tables QuadChar.ek_tables counts in one pass per D (for even D
+at B = 4 and 12, whose integral cuts carry chi = 0), so none sums over x.
 """
 
 from dataclasses import dataclass

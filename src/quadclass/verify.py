@@ -27,7 +27,7 @@ from .classnum import (
     h_from_ek_factored,
     h_theorem1,
 )
-from .discriminant import Case, Discriminant, check_size, from_discriminant
+from .discriminant import Case, Discriminant, check_size, from_discriminant, quad_char
 from .errors import ExcludedDiscriminantError, InternalError, NotFundamentalError
 from .theorems import (
     check_b2,
@@ -131,6 +131,23 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
     try:
         h = h_dirichlet(disc).h
         coprime = [b for b in bases if gcd(b, disc.N) == 1]
+        for b in coprime:
+            _check_base(b)  # before the pass below counts at b
+        # Each parity branch counts, in one pass, the E_k tables its checks and the routes read.
+        checks = dict.fromkeys(CHECK_KEYS)
+        if disc.case is Case.ODD:
+            quad_char(disc).ek_tables((*coprime, 2, 4, *((6, 12) if disc.N % 3 else ())))
+            checks["base2"] = check_b2(disc).passed
+            checks["base4"] = check_b4(disc).passed
+            if disc.N % 3:
+                checks["base6"] = check_b6(disc).passed
+                checks["sixth"] = h_abs_sixth(disc).h == h
+                checks["base12"] = check_b12(disc, h, ek_table(disc, 12).entries[0]).passed
+        else:
+            quad_char(disc).ek_tables((*coprime, 4, *((12,) if disc.N % 3 else ())))
+            checks["quarter"] = h_quarter_sum(disc).h == h
+            if disc.N % 3:
+                checks["sixth_pair"] = check_s1_s2(disc).passed
         formulas = {}
         for family, fn in (
             ("cycle", h_theorem1),
@@ -146,21 +163,6 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
         ]
         factored_ok = all(factored) if factored else None
         agree = factored_ok is not False and all(v is None or v == h for v in formulas.values())
-
-        checks = dict.fromkeys(CHECK_KEYS)
-        if disc.case is Case.ODD:
-            checks["base2"] = check_b2(disc).passed
-            checks["base4"] = check_b4(disc).passed
-            if disc.N % 3:
-                checks["base6"] = check_b6(disc).passed
-                checks["sixth"] = h_abs_sixth(disc).h == h
-                e0 = ek_table(disc, 12).entries[0]
-                checks["base12"] = check_b12(disc, h, e0).passed
-        else:
-            checks["quarter"] = h_quarter_sum(disc).h == h
-            if disc.N % 3:
-                checks["sixth_pair"] = check_s1_s2(disc).passed
-
         passed = agree and not any(v is False for v in checks.values())
         return DiscriminantRecord(
             disc.D, disc.N, disc.case.value, h, formulas, factored_ok, checks,

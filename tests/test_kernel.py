@@ -9,6 +9,7 @@ the per-x oracles in helpers (direct binning, and the floor and Dirichlet
 sums term by term).
 """
 
+import random
 import sys
 from fractions import Fraction
 from math import gcd
@@ -282,6 +283,60 @@ def test_integral_endpoint_is_caught(monkeypatch):
     for route in (ek_table, h_floor_formula, h_from_ek):
         with pytest.raises(InternalError, match="integral endpoint"):
             route(disc, 14)
+
+
+def test_merged_pass_matches_per_base_counts_and_binning():
+    # Every base 2..13 whose cuts miss the units: all of them once N > 13, so even D
+    # get 4 and 12, whose cuts such as N/4 are integers with chi = 0.
+    for disc in [*fundamentals_with_n_up_to(3000), from_discriminant(-300007)]:
+        n = disc.N
+        bases = [b for b in BASES if b % n]
+        random.Random(n).shuffle(bases)
+        merged = QuadChar(disc).ek_tables(tuple(bases))
+        assert [table.base for table in merged] == bases, disc.D
+        vals = quad_char(disc).values()
+        for base, table in zip(bases, merged):
+            assert table == QuadChar(disc).ek_table(base), (disc.D, base)
+            entries, pos, neg = ek_by_binning(vals, n, base)
+            assert table.entries == tuple(entries), (disc.D, base)
+            assert table.pos_counts == tuple(pos), (disc.D, base)
+            assert table.neg_counts == tuple(neg), (disc.D, base)
+
+
+@pytest.mark.parametrize("D", [-47, -4004, -300007])
+def test_merged_pass_counts_only_the_bases_not_kept(D):
+    counted = []
+
+    class CountingMemo(dict):
+        def __setitem__(self, base, counts):
+            counted.append(base)
+            super().__setitem__(base, counts)
+
+    char = QuadChar(from_discriminant(D))
+    char._counts = CountingMemo()
+    kept = char.ek_tables((9, 4, 13))
+    assert counted == [9, 4, 13]
+    counted.clear()
+    again = char.ek_tables((13, 2, 9, 12, 4, 5, 2))
+    assert counted == [2, 12, 5]
+    assert again[0] is kept[2] and again[2] is kept[0] and again[4] is kept[1]
+    assert again[1] is again[6] is char.ek_table(2)
+    fresh = QuadChar(char.disc)
+    assert again == [fresh.ek_table(b) for b in (13, 2, 9, 12, 4, 5, 2)]
+
+
+def test_integral_endpoint_in_a_merged_pass_keeps_nothing():
+    # Base 3 alone is fine at D = -7; base 14 cuts (0, 7) at the unit x = 1.
+    # QuadChar has no coprimality check, so the merged pass meets that cut.
+    disc = from_discriminant(-7)
+    with pytest.raises(InternalError) as single:
+        QuadChar(disc).ek_table(14)
+    char = QuadChar(disc)
+    with pytest.raises(InternalError) as merged:
+        char.ek_tables((3, 14))
+    assert str(merged.value) == str(single.value) == "integral endpoint 2*7/14 at D=-7 with chi = 1"
+    assert char._counts == {}
+    assert char.ek_table(3).entries == tuple(ek_by_binning(char.values(), 7, 3)[0])
 
 
 def test_sign_counts_at_the_closed_form_bases_match_binning():
