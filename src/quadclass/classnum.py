@@ -22,7 +22,9 @@ route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
-h_dirichlet, the reference route, sums over x by parts, in C.
+h_dirichlet, the reference route, sums over x by parts, in C.  A base is
+checked where it is used, by discriminant.check_base (2 <= B <= MAX_BASE):
+in each route's coprimality check, and in ek_tables for each base it counts.
 
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
@@ -42,9 +44,11 @@ from .arith import (
     phi_with_primes,
 )
 from .discriminant import (
+    MAX_BASE,  # re-exported: classnum.MAX_BASE is the limit check_base enforces
     Discriminant,
     EkTable,
     QuadChar,
+    check_base,
     check_size,
     from_discriminant,
     quad_char,
@@ -53,7 +57,6 @@ from .errors import (
     ExcludedDiscriminantError,
     InternalError,
     InvalidFactorizationError,
-    ModulusTooLargeError,
     NotCoprimeError,
     WrongParityError,
 )
@@ -79,13 +82,6 @@ __all__ = [
     "lambda_map",
 ]
 
-# The largest base accepted.  The interval routes and the ek table hold
-# lists of B + 1 cut points, counts and Fractions, so a larger base is
-# refused before any of them exists.  At D = -7, B = 2*10**6 peaks at 95 MB
-# in the floor route and at 441 MB and 21 s in `ek`; B = 10**5 stays under
-# 50 MB and 1 s, well above the largest base the tests run, 4099.
-MAX_BASE = 10**5
-
 # The largest block B^k of digits that one long-division step of h_theorem1
 # emits: its digit-sum tables hold at most this many entries per (B, chi(B)).
 MAX_BLOCK = 4096
@@ -101,16 +97,8 @@ class HResult:
     raw_sum: int
 
 
-def _check_base(base: int) -> None:
-    """Raise unless 2 <= base <= MAX_BASE."""
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
-    if base > MAX_BASE:
-        raise ModulusTooLargeError(f"base {base} exceeds the limit MAX_BASE={MAX_BASE}")
-
-
 def _check_coprime_base(disc: Discriminant, base: int) -> None:
-    _check_base(base)
+    check_base(base)
     if gcd(base, disc.N) != 1:
         raise NotCoprimeError(f"gcd({base}, {disc.N}) > 1 at D={disc.D}")
 

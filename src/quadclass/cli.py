@@ -19,7 +19,6 @@ from math import gcd
 from . import expansion
 from .arith import euler_phi, least_primitive_root
 from .classnum import (
-    _check_base,
     ek_table,
     h_dirichlet,
     h_floor_formula,
@@ -28,7 +27,7 @@ from .classnum import (
     h_girstmair,
     h_theorem1,
 )
-from .discriminant import check_size, from_discriminant, quad_char
+from .discriminant import check_base, check_size, from_discriminant, quad_char
 from .errors import InternalError, ModulusTooLargeError
 from .expansion import expand, normalize_cycle
 from .verify import DEFAULT_BASES, to_csv, to_json, to_text, verify_range
@@ -95,7 +94,7 @@ def cmd_classnum(args) -> int:
     methods = args.method or list(_METHODS)
     bases = args.base or [b for b in DEFAULT_BASES if gcd(b, disc.N) == 1]
     for b in bases:
-        _check_base(b)  # before any route, or factored's divisor scan, runs
+        check_base(b)  # before any route, or factored's divisor scan, runs
 
     results = []
     if "dirichlet" in methods:

@@ -18,10 +18,12 @@ QuadChar is the one implementation of chi_D and the kernel every class
 number route shares: the table of chi_D over one period, built once per D
 as a product of periodic rows (the Jacobi symbol factored into Legendre
 rows, times the chi4/chi8 row), and the EkTable of counts of chi = +1, -1
-in the B pieces of (0, N) per (D, B), one pass over the merged cuts of all
-the bases asked for at once.  Single values are read from the table too.  The
-formula above, evaluated pointwise through quadratic reciprocity, is the
-tests' independent oracle.  quad_char keeps the QuadChar of the last D.
+in the B pieces of (0, N) per (D, B), both counted off that table in one
+pass over the merged cuts of all the bases asked for at once.  Single values
+are read from the table too.  The formula above, evaluated pointwise through
+quadratic reciprocity, is the tests' independent oracle.  quad_char keeps
+the QuadChar of the last D.  check_size and check_base refuse an N above
+MAX_N and a base outside 2..MAX_BASE before any table or cut list exists.
 """
 
 from array import array
@@ -31,6 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
+from math import gcd
 from operator import sub
 
 from .arith import distinct_prime_factors, is_squarefree
@@ -44,7 +47,9 @@ from .errors import (
 
 __all__ = [
     "MAX_N",
+    "MAX_BASE",
     "check_size",
+    "check_base",
     "Case",
     "Discriminant",
     "EkTable",
@@ -57,9 +62,8 @@ __all__ = [
 
 # The largest N = |D| accepted.  Every route reads the table of the N + 1
 # values of the character, one byte each, and the sweep cost grows with N,
-# so a larger N is refused before any table exists.  It
-# leaves room above D = -1000003, the largest single discriminant the
-# project's performance goals name.
+# so a larger N is refused before any table exists.  It leaves room above
+# D = -1000003, the largest single discriminant the performance goals name.
 MAX_N = 10**7
 
 
@@ -67,6 +71,21 @@ def check_size(n: int) -> None:
     """Raise ModulusTooLargeError when the modulus n exceeds MAX_N."""
     if n > MAX_N:
         raise ModulusTooLargeError(f"N={n} exceeds the limit MAX_N={MAX_N}")
+
+
+# The largest base accepted: an EkTable and the interval routes hold lists
+# of B + 1 cuts, counts and Fractions.  At D = -7, B = 2*10**6 peaks at
+# 95 MB in the floor route and 441 MB and 21 s in `ek`; B = 10**5 stays
+# under 50 MB and 1 s, well above the largest base the tests run, 4099.
+MAX_BASE = 10**5
+
+
+def check_base(base: int) -> None:
+    """Raise unless 2 <= base <= MAX_BASE: ValueError below, ModulusTooLargeError above."""
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
+    if base > MAX_BASE:
+        raise ModulusTooLargeError(f"base {base} exceeds the limit MAX_BASE={MAX_BASE}")
 
 
 class Case(Enum):
@@ -164,11 +183,11 @@ class EkTable:
 class QuadChar:
     """The quadratic character chi_D, read from its table over one period.
 
-    Every value, eval() included, comes from values(); the pointwise formula
-    of the module docstring is kept only as the tests' oracle.  Instances
-    are immutable apart from the table and the EkTables, each built once
-    on first use, which callers must not modify; they are safe to share.
-    Use quad_char(disc) to get the cached instance.
+    Every value, eval() included, and every EkTable comes from values()
+    alone; the pointwise formula of the module docstring is kept only as
+    the tests' oracle.  Instances are immutable apart from the table and
+    the EkTables, each built once on first use, which callers must not
+    modify; they are safe to share.  Use quad_char(disc) for the cached one.
     """
 
     def __init__(self, disc: Discriminant):
@@ -192,8 +211,7 @@ class QuadChar:
         """
         if self._values is None:
             row = array("b", [1])
-            self._primes = distinct_prime_factors(self.disc.N)  # ek_tables reads them too
-            for p in reversed(self._primes):
+            for p in reversed(distinct_prime_factors(self.disc.N)):
                 f = _legendre_row(p) if p > 2 else array("b", _TWO_ROWS[self.disc.case])
                 row = f if len(row) == 1 else _times(row, f)
             if len(row) != self.disc.N:
@@ -209,40 +227,35 @@ class QuadChar:
     def ek_tables(self, bases: tuple[int, ...]) -> list[EkTable]:
         """The EkTables at bases, in their order, counting those not kept yet in one pass.
 
-        pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  The new
-        bases' cuts merge into one sorted list, with one count of the bytes 1 per fine piece
-        and, per cut t, the units sum mu(d) floor(t/d) (squarefree d | N) in [1, t]; each base
-        takes differences of these running totals at its own cuts.  An integral cut x with
+        pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  Every
+        new base is checked first (check_base).  Their cuts merge into one sorted list, with
+        one count of the bytes 1 and one of the bytes 255 (chi = -1) per fine piece; each
+        base takes differences of these running totals at its own cuts.  The cut kN/B is an
+        integer exactly when k is a multiple of B/g, g = gcd(B, N); such a cut x with
         chi(x) != 0 would lie on both sides, so it raises InternalError before any base is
-        kept; N/4, a cut of even D at B = 4 and 12, has chi = 0.
+        kept.  N/4, a cut of even D at B = 4 and 12, has chi = 0.
         """
         new = [b for b in dict.fromkeys(bases) if b not in self._counts]
         if new:
-            vals, n = self.values(), self.disc.N
-            cuts = {}  # base -> floor(kN/B) for k = 0..B
             for base in new:
-                cuts[base] = row = []
-                for k in range(base + 1):
-                    t, r = divmod(k * n, base)
-                    if r == 0 and vals[t]:
+                check_base(base)
+            vals, n = self.values(), self.disc.N
+            for base in new:
+                for k in range(0, base + 1, base // gcd(base, n)):
+                    if c := vals[k * n // base]:
                         raise InternalError(
-                            f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {vals[t]}"
+                            f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {c}"
                         )
-                    row.append(t)
-            divisors = [(1, 1)]  # (d, mu(d))
-            for p in self._primes:
-                divisors += [(d * p, -mu) for d, mu in divisors]
-            # pos_to[i] and units_to[i] count chi = +1 and the units in [1, points[i]].
+            cuts = {base: [k * n // base for k in range(base + 1)] for base in new}
             points = sorted(set().union(*cuts.values()))
             data = memoryview(vals)[1:].tobytes()  # data[a:b] is chi(a + 1), ..., chi(b)
-            pos_to = array("q", accumulate(map(data.count, repeat(1), points, points[1:]), initial=0))
-            units_to = array("q", [sum(mu * (t // d) for d, mu in divisors) for t in points])
+            # to[0][i] and to[1][i] count the bytes 1 and 255 (chi = -1) in [1, points[i]].
+            to = [array("q", accumulate(map(data.count, repeat(c), points, points[1:]), initial=0))
+                  for c in (1, 255)]
             for base, row in cuts.items():
                 at = array("q", map(bisect_left, repeat(points), row))  # row[k] is points[at[k]]
-                ahead = at[1:]
-                pos = tuple(map(sub, map(pos_to.__getitem__, ahead), map(pos_to.__getitem__, at)))
-                units = map(sub, map(units_to.__getitem__, ahead), map(units_to.__getitem__, at))
-                neg = tuple(map(sub, units, pos))
+                pos, neg = (tuple(map(sub, map(t.__getitem__, at[1:]), map(t.__getitem__, at)))
+                            for t in to)
                 self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
         return [self._counts[b] for b in bases]
 

@@ -25,7 +25,7 @@ class ExcludedDiscriminantError(ValueError):
 
 class ModulusTooLargeError(ValueError):
     """N = |D| above discriminant.MAX_N, a period above expansion.MAX_PERIOD,
-    or a base above classnum.MAX_BASE."""
+    or a base above discriminant.MAX_BASE."""
 
 
 class InvalidGeneratorError(ValueError):

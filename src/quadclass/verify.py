@@ -19,7 +19,6 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .classnum import (
-    _check_base,
     ek_table,
     h_dirichlet,
     h_floor_formula,
@@ -27,7 +26,7 @@ from .classnum import (
     h_from_ek_factored,
     h_theorem1,
 )
-from .discriminant import Case, Discriminant, check_size, from_discriminant, quad_char
+from .discriminant import Case, Discriminant, check_base, check_size, from_discriminant, quad_char
 from .errors import ExcludedDiscriminantError, InternalError, NotFundamentalError
 from .theorems import (
     check_b2,
@@ -131,8 +130,6 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
     try:
         h = h_dirichlet(disc).h
         coprime = [b for b in bases if gcd(b, disc.N) == 1]
-        for b in coprime:
-            _check_base(b)  # before the pass below counts at b
         # Each parity branch counts, in one pass, the E_k tables its checks and the routes read.
         checks = dict.fromkeys(CHECK_KEYS)
         if disc.case is Case.ODD:
@@ -184,8 +181,8 @@ def verify_range(
     Records are deterministic for a fixed range and base list regardless of
     jobs; only elapsed time varies.  jobs is capped at os.cpu_count(): more
     workers than cores share the cores and only add start-up cost.  A range
-    reaching below -MAX_N, or a base above classnum.MAX_BASE, is refused
-    before anything is enumerated.
+    reaching below -MAX_N, or a base outside 2..discriminant.MAX_BASE, is
+    refused before anything is enumerated.
     """
     if lo > hi:
         raise ValueError(f"empty range: from {lo} to {hi}")
@@ -196,8 +193,8 @@ def verify_range(
     bases = tuple(sorted(set(bases)))
     if not bases:
         raise ValueError("need at least one base")
-    _check_base(bases[0])
-    _check_base(bases[-1])
+    check_base(bases[0])
+    check_base(bases[-1])
 
     start = time.perf_counter()
     ds = [disc.D for disc in fundamental_discriminants(lo, hi)]

@@ -3,7 +3,8 @@
 Each oracle computes the same quantity as the library through a different
 algorithm (reduced-form counting, Kronecker symbols, the character formula
 through quadratic reciprocity, repeat-detection long division, direct
-binning, per-x floor and Dirichlet sums), so agreement is meaningful.
+binning, an every-k scan for integral cuts, per-x floor and Dirichlet sums),
+so agreement is meaningful.
 """
 
 from math import gcd
@@ -148,6 +149,17 @@ def ek_by_binning(vals, n: int, base: int):
         else:
             neg[k] += 1
     return entries, pos, neg
+
+
+def first_integral_unit_cut(disc, base: int):
+    """(k, chi(kN/B)) for the first k in 0..B with kN = 0 (mod B) and chi(kN/B) != 0,
+    testing every k, with chi from chi_by_reciprocity; None when there is none."""
+    n = disc.N
+    for k in range(base + 1):
+        x, r = divmod(k * n, base)
+        if r == 0 and (c := chi_by_reciprocity(disc, x)):
+            return k, c
+    return None
 
 
 def floor_sum_by_x(vals, n: int, base: int) -> int:

@@ -5,8 +5,8 @@ interval routes and closed forms read the EkTable QuadChar.ek_table keeps
 per (D, B); here each is diffed against a route that shares none of
 that code: the per-cycle reference h_cycle_contribution over all_cycles, the
 full period of expand, per-digit long division for the digit tables, and
-the per-x oracles in helpers (direct binning, and the floor and Dirichlet
-sums term by term).
+the oracles in helpers (direct binning, the every-k scan for integral cuts,
+and the floor and Dirichlet sums term by term).
 """
 
 import random
@@ -33,10 +33,16 @@ from quadclass.classnum import (
     h_theorem1,
 )
 from quadclass.discriminant import QuadChar, from_discriminant, quad_char
-from quadclass.errors import InternalError
+from quadclass.errors import InternalError, ModulusTooLargeError
 from quadclass.verify import DEFAULT_BASES, verify_discriminant
 
-from helpers import dirichlet_sum_by_x, ek_by_binning, floor_sum_by_x, fundamentals_with_n_up_to
+from helpers import (
+    dirichlet_sum_by_x,
+    ek_by_binning,
+    first_integral_unit_cut,
+    floor_sum_by_x,
+    fundamentals_with_n_up_to,
+)
 
 BASES = range(2, 14)
 
@@ -337,6 +343,51 @@ def test_integral_endpoint_in_a_merged_pass_keeps_nothing():
     assert str(merged.value) == str(single.value) == "integral endpoint 2*7/14 at D=-7 with chi = 1"
     assert char._counts == {}
     assert char.ek_table(3).entries == tuple(ek_by_binning(char.values(), 7, 3)[0])
+
+
+def test_integral_cut_check_matches_every_k_oracle():
+    # The kernel tests only the k that are multiples of B / gcd(B, N); the
+    # oracle tests every k.  Bases up to 3N include B > N, where cuts repeat.
+    outcomes = set()
+    for D in (-7, -8, -11, -15, -20, -24):
+        disc = from_discriminant(D)
+        n = disc.N
+        for base in range(2, 3 * n + 1):
+            char = QuadChar(disc)
+            found = first_integral_unit_cut(disc, base)
+            if found is None:
+                (table,) = char.ek_tables((base,))
+                entries, pos, neg = ek_by_binning(char.values(), n, base)
+                assert table.entries == tuple(entries), (D, base)
+                assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg)), (D, base)
+            else:
+                k, c = found
+                with pytest.raises(InternalError) as exc:
+                    char.ek_tables((base,))
+                assert str(exc.value) == f"integral endpoint {k}*{n}/{base} at D={D} with chi = {c}"
+                assert char._counts == {}
+            outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "base, error",
+    [
+        (-3, ValueError),
+        (0, ValueError),
+        (1, ValueError),
+        (classnum.MAX_BASE + 1, ModulusTooLargeError),
+    ],
+)
+def test_bad_base_is_refused_before_anything_is_counted(base, error):
+    # The kernel checks its own bases: alone, or after a good base in one pass.
+    disc = from_discriminant(-47)
+    for count in (lambda char: char.ek_table(base), lambda char: char.ek_tables((3, base))):
+        char = QuadChar(disc)
+        with pytest.raises(ValueError) as exc:
+            count(char)
+        assert exc.type is error, (base, exc.value)
+        assert char._counts == {} and char._values is None
 
 
 def test_sign_counts_at_the_closed_form_bases_match_binning():

@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from quadclass.discriminant import quad_char
+from quadclass.classnum import MAX_BASE
+from quadclass.discriminant import from_discriminant, quad_char
 from quadclass.verify import (
     CHECK_KEYS,
     DEFAULT_BASES,
@@ -73,6 +74,25 @@ class TestVerifyDiscriminant:
         rec = verify_discriminant(-7, bases=(2, 3, 5))  # no composite base
         assert rec.factored_ok is None
         assert rec.passed
+
+    def test_oversized_base_is_a_fail_record_with_nothing_counted(self):
+        counted = []
+
+        class CountingMemo(dict):
+            def __setitem__(self, base, counts):
+                counted.append(base)
+                super().__setitem__(base, counts)
+
+        quad_char.cache_clear()
+        char = quad_char(from_discriminant(-47))
+        char._counts = CountingMemo()
+        rec = verify_discriminant(-47, bases=(2, MAX_BASE + 1))
+        assert not rec.passed and rec.h is None
+        assert rec.error == (
+            f"ModulusTooLargeError: base {MAX_BASE + 1} exceeds the limit MAX_BASE={MAX_BASE}"
+        )
+        assert counted == []
+        quad_char.cache_clear()
 
 
 class TestVerifyRange:
