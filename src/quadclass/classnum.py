@@ -15,10 +15,14 @@ built once per D.  The cycle route walks the orbits of x -> Bx mod N over
 it in place (h_theorem1), with long division over only half of the
 residues: the reflection x -> N - x negates chi and complements every
 digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
-(Midy's theorem, generalised).  Each step divides in base B^k and reads the
-signed sum of its k base-B digits from a table, and the walk marks only the
-points it needs to tell the next class from the walked ones.  The girstmair
-route is its one-orbit case.
+(Midy's theorem, generalised).  At B = 2, 4, 8 and 10 a long walk that
+marks nothing is one big quotient floor(B^w x/N), its signed digit sum read
+by popcounts; any other walk steps, dividing in base B^k and reading the
+signed sum of each k base-B digits from a table.  For prime N the classes
+are the cosets of <B, -1> in a cyclic group, so the walks start at the
+powers of a primitive root; for composite N the walk marks only the points
+it needs to tell the next class from the walked ones.  The girstmair route
+is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
@@ -31,6 +35,7 @@ failure raises InternalError because the identities admit no exceptions.
 """
 
 from dataclasses import dataclass, replace
+from decimal import MAX_EMAX, Context, Decimal, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -85,6 +90,12 @@ __all__ = [
 # The largest block B^k of digits that one long-division step of h_theorem1
 # emits: its digit-sum tables hold at most this many entries per (B, chi(B)).
 MAX_BLOCK = 4096
+
+# The fewest long-division steps a walk takes before h_theorem1 replaces them
+# with one quotient at B = 2, 4, 8 and 10.  The quotient's fixed cost per walk
+# is about 1 us in binary and 3 us in decimal (2-core Xeon, CPython 3.11),
+# some 8 and 25 steps; a walk of 16 steps comes out near even in both.
+MIN_QUOTIENT_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -180,6 +191,56 @@ def _next_start(seen: bytearray, x: int, base: int, n: int, k: int) -> int:
     return -1
 
 
+def _radix_walk(base: int, n: int, w: int, s: int, where: str):
+    """x -> (t, y_w) for a walk of w digits from x in one division, at B = 2, 4, 8 or 10.
+
+    None at any other base.  The digits are those of A = floor(B^w x/N), w
+    of them with leading zeros, and t = sum_{i<w} s^i a(y_i) signs the one
+    j places from the bottom by s^(w-1-j).  Each digit sits in the low bits
+    of a slot: A itself in m-bit slots at B = 2^m, or the ASCII bytes of
+    decimal A, whose low nibbles are the digits.  One repunit mask with a
+    bit at the bottom of every slot (of every other slot when s = -1) picks
+    bit b of each digit from A >> b, so t is m (2m) popcounts.  The mask is
+    the only one kept: A is shifted once per popcount.  The decimal context
+    holds the w digits of A and the digits of x < N, its Emax the exponent
+    of x B^w, and it traps any rounding, so A is exact or the walk raises
+    InternalError.
+    """
+    if base == 10:
+        width, bits = 8, 4
+        traps = [Inexact, Rounded, InvalidOperation]
+        ctx = Context(prec=w + len(str(n)), Emax=MAX_EMAX, traps=traps)
+
+        def divide(x):
+            try:
+                a, y = ctx.divmod(ctx.scaleb(Decimal(x), w), n)
+            except DecimalException as exc:
+                raise InternalError(f"{where}: decimal {exc!r} at x = {x}") from exc
+            return int.from_bytes(str(a).encode(), "big"), int(y)
+
+    elif base in (2, 4, 8):
+        width = bits = base.bit_length() - 1
+        shift = width * w
+
+        def divide(x):
+            return divmod(x << shift, n)
+
+    else:
+        return None
+    period = width if s == 1 else 2 * width  # from one mask bit to the next
+    ones = ((1 << period * -(-w * width // period)) - 1) // ((1 << period) - 1)  # over w slots
+
+    def walk(x):
+        v, y = divide(x)
+        t = sum(((v >> b) & ones).bit_count() << b for b in range(bits))
+        if s == -1:
+            odd = sum(((v >> (width + b)) & ones).bit_count() << b for b in range(bits))
+            t = t - odd if w % 2 else odd - t
+        return t, y
+
+    return walk
+
+
 def h_theorem1(disc: Discriminant, base: int) -> HResult:
     """h as the sum of the contributions of all cycles of the base-B map.
 
@@ -231,29 +292,46 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     chi(B) = -1, so every block starts on the sign +1.  The steps % k
     digits left over (all of them when no table fits) go one at a time.
 
+    One quotient per walk.  The same unrolling with k = w makes a walk that
+    marks nothing one division, A = floor(B^w x/N) with remainder y_w, the
+    closure point.  B = 2, 4 and 8 have a C radix in the binary int and 10
+    in decimal, so _radix_walk reads the signed digit sum of A there
+    through bit masks, on every walk of MIN_QUOTIENT_STEPS steps or more.
+    Every other walk steps: at another base, shorter, or one that marks.
+
     One start per class.  A walk of w steps covers a class C u -C (C alone
-    when -C = C) of 2w units, so there are W = phi(N)/(2w) classes.  Every
-    walk but the last marks y_i and N - y_i at its block points i = 0, k,
-    2k, ... and at each leftover point.  So each y_i has a marked y_(i+j)
-    with j < max(k, 1), where y_w = x (N - x when -C = C) counts as marked.
-    The next start is the least unit u such that u B^j (mod N) is unmarked
-    for every j < k, and u itself is.  u = +/-y_i in a walked class fails,
-    since +/-y_i B^j = +/-y_(i+j).  u in a class not yet walked passes,
-    since its images stay in that class, which carries no mark.  So the
-    scan finds exactly one start per class; W = 1 needs no flags, and the
-    last walk no marks.
+    when -C = C) of 2w units, so there are W = phi(N)/(2w) classes: the
+    cosets of the subgroup H = <B, -1> of 2w units.
+
+      * N prime: the units form a cyclic group of order N - 1, so H is its
+        only subgroup of order 2w, u is in H exactly when u^(2w) = 1, and
+        the classes are the cosets g^j H, j < W, when g^(W/q) is outside H
+        for each prime q | W, that is z^(W/q) != 1 for z = g^(2w).  g is the
+        least primitive root, and the walks start at its powers mod N.
+      * N composite: every walk but the last marks y_i and N - y_i at its
+        block points i = 0, k, 2k, ... and at each leftover point.  So each
+        y_i has a marked y_(i+j) with j < max(k, 1), where y_w = x (N - x
+        when -C = C) counts as marked.  The next start is the least unit u
+        such that u B^j (mod N) is unmarked for every j < k, and u itself
+        is.  u = +/-y_i in a walked class fails, since +/-y_i B^j =
+        +/-y_(i+j).  u in a class not yet walked passes, since its images
+        stay in that class, which carries no mark.  So the scan finds
+        exactly one start per class; the last walk needs no marks.
+
+    W = 1 needs neither: its one walk starts at 1.
 
     Checks, each raising InternalError: chi(B) = -1 needs e even; -1 a
     power of B needs chi(B) = -1 and e/2 odd; each walk lands on x (on
-    N - x when -C = C); the division is exact with a positive quotient.
-    Three more replace counting the cycles f and checking f e = phi(N):
-    phi(N) is a multiple of 2w; e is certified as the order, B^(e/q) != 1
-    (mod N) for each prime q | e; the scan finds W starts.  A walk that
-    closes gives B^e = 1 (B^(e/2) = -1 when -C = C), so with the
-    certificate e is the order and -C = C is decided right.  Then every
-    class has exactly 2w units, W is the number of classes, and the W
-    starts the scan finds cover every unit once, which is what f e = phi(N)
-    asserted.
+    N - x when -C = C); the division is exact with a positive quotient; a
+    decimal signal (the context is exact or it traps).  Three more replace
+    counting the cycles f and checking f e = phi(N): phi(N) is a multiple
+    of 2w; e is certified as the order, B^(e/q) != 1 (mod N) for each prime
+    q | e; the starts are certified, by z above for prime N, or by the scan
+    finding W starts.  A walk that closes gives B^e = 1 (B^(e/2) = -1 when
+    -C = C), so with the certificate e is the order and -C = C is decided
+    right.  Then every class has exactly 2w units, W is the number of
+    classes, and the W starts cover every unit once, which is what
+    f e = phi(N) asserted.
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -284,37 +362,52 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     bk = base**k
     blocks, rest = divmod(steps, k) if k else (0, steps)
     sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
-    # Non-units start out marked, so find(0) lands only on units.
-    seen = char.nonunit_flags() if walks > 1 else None
+    long_walk = blocks + rest >= MIN_QUOTIENT_STEPS
+    quotient = _radix_walk(base, n, steps, s, where) if long_walk else None
+    seen = None
+    if walks > 1 and phi == n - 1:
+        g = least_primitive_root(n)
+        z = pow(g, 2 * steps, n)
+        for q in phi_primes:
+            if walks % q == 0 and pow(z, walks // q, n) == 1:
+                raise InternalError(
+                    f"{where}: start {g} misses classes, {z}^{walks // q} = 1 (mod {n})")
+    elif walks > 1:
+        seen = char.nonunit_flags()  # non-units start out marked, so find(0) lands only on units
     raw = 0
     x = 1  # the smallest unit starts the first class
     for left in range(walks - 1, -1, -1):
         marks = seen if left else None
-        y = x
-        t = 0
-        if marks is None:
-            for _ in range(blocks):
-                y *= bk
-                t += tab[y // n]
-                y %= n
+        if marks is None and quotient is not None:
+            t, y = quotient(x)
         else:
-            for _ in range(blocks):
-                marks[y] = marks[n - y] = 1
-                y *= bk
-                t += tab[y // n]
+            y = x
+            t = 0
+            if marks is None:
+                for _ in range(blocks):
+                    y *= bk
+                    t += tab[y // n]
+                    y %= n
+            else:
+                for _ in range(blocks):
+                    marks[y] = marks[n - y] = 1
+                    y *= bk
+                    t += tab[y // n]
+                    y %= n
+            sg = 1
+            for _ in range(rest):
+                if marks is not None:
+                    marks[y] = marks[n - y] = 1
+                y *= base
+                t += sg * (y // n)
                 y %= n
-        sg = 1
-        for _ in range(rest):
-            if marks is not None:
-                marks[y] = marks[n - y] = 1
-            y *= base
-            t += sg * (y // n)
-            y %= n
-            sg *= s
+                sg *= s
         if y != (n - x if self_paired else x):
             raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
         raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
-        if left:
+        if left and seen is None:
+            x = x * g % n
+        elif left:
             x = _next_start(seen, x, base, n, k)
             if x < 0:
                 raise InternalError(f"{where}: found {walks - left} of {walks} classes")
@@ -376,8 +469,10 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     cycle, so (B+1) h is the alternating digit sum of the period of 1/p.
     With no base given the least primitive root is used.  That cycle is the
     one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
-    walk covers (p - 1)/2 digits, k per step, the reflection supplies the
-    other digits, and with one class it marks nothing.
+    walk covers (p - 1)/2 digits, in one quotient at B = 2, 8 or 10 once
+    they take MIN_QUOTIENT_STEPS steps and k per step otherwise, the
+    reflection supplies the other digits, and with one class it marks
+    nothing.
     """
     check_size(p)
     if not is_prime(p):

@@ -97,6 +97,9 @@ def test_orbit_walk_matches_cycle_contributions(monkeypatch):
             if walks == 1:
                 assert not flags, (disc.D, base)  # one class needs no seen flags
                 shapes.add("W = 1")
+            elif is_prime(disc.N):
+                assert not flags, (disc.D, base)  # the starts are powers of a primitive root
+                shapes.add("W > 1, N prime")
             else:
                 # The scan runs after every walk but the last; each rejection
                 # costs one more find.
@@ -110,7 +113,7 @@ def test_orbit_walk_matches_cycle_contributions(monkeypatch):
                 shapes.add("steps % k != 0")
     # chi(B) = +1 with -1 a power of B would force chi(-1) = +1.
     assert branches == {(1, False), (-1, False), (-1, True)}
-    assert shapes == {"W = 1", "W > 1, a candidate rejected", "steps < k", "steps % k != 0"}
+    assert shapes == {"W = 1", "W > 1, N prime", "W > 1, a candidate rejected", "steps < k", "steps % k != 0"}
 
 
 def test_orbit_walk_without_digit_tables():
