@@ -108,12 +108,11 @@ def is_primitive_root(b: int, p: int) -> bool:
 
 
 def least_primitive_root(p: int) -> int:
-    """Smallest positive primitive root of the odd prime p."""
+    """Smallest positive primitive root of the odd prime p, tested for primality once."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
-    g = 2
-    while not is_primitive_root(g, p):
-        g += 1
-        if g >= p:
-            raise InternalError(f"no primitive root below {p}")
-    return g
+    primes = phi_with_primes(p)[1]
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
+            return g
+    raise InternalError(f"no primitive root below {p}")

@@ -18,21 +18,11 @@ from math import gcd
 
 from . import expansion
 from .arith import euler_phi, least_primitive_root
-from .classnum import (
-    ek_table,
-    h_dirichlet,
-    h_floor_formula,
-    h_from_ek,
-    h_from_ek_factored,
-    h_girstmair,
-    h_theorem1,
-)
-from .discriminant import check_base, check_size, from_discriminant, quad_char
+from .classnum import ek_table, h_dirichlet, h_from_ek, h_girstmair
+from .discriminant import check_size, from_discriminant, quad_char
 from .errors import InternalError, ModulusTooLargeError
 from .expansion import expand, normalize_cycle
-from .verify import DEFAULT_BASES, to_csv, to_json, to_text, verify_range
-
-_METHODS = ("dirichlet", "cycle", "floor", "interval", "factored")
+from .verify import DEFAULT_BASES, METHODS, routes, to_csv, to_json, to_text, verify_range
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("-B", "--base", type=int, action="append",
                    help="expansion base, repeatable (default: every base in 2..13 "
                    "coprime to |D|)")
-    c.add_argument("--method", action="append", choices=_METHODS,
+    c.add_argument("--method", action="append", choices=METHODS,
                    help="restrict to these routes, repeatable (default: all)")
     c.set_defaults(func=cmd_classnum)
 
@@ -91,25 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_classnum(args) -> int:
     disc = from_discriminant(args.discriminant)
-    methods = args.method or list(_METHODS)
     bases = args.base or [b for b in DEFAULT_BASES if gcd(b, disc.N) == 1]
-    for b in bases:
-        check_base(b)  # before any route, or factored's divisor scan, runs
-
-    results = []
-    if "dirichlet" in methods:
-        results.append(h_dirichlet(disc))
-    for b in bases:
-        if "cycle" in methods:
-            results.append(h_theorem1(disc, b))
-        if "floor" in methods:
-            results.append(h_floor_formula(disc, b))
-        if "interval" in methods:
-            results.append(h_from_ek(disc, b))
-        if "factored" in methods:
-            for b1 in range(2, b):
-                if b % b1 == 0:
-                    results.append(h_from_ek_factored(disc, b, b1))
+    results = [r for _, _, r in routes(disc, bases, args.method or METHODS)]
     if not results:
         raise ValueError("no route applicable: factored needs a composite base")
 

@@ -1,10 +1,10 @@
 """Cross-checking sweeps over ranges of fundamental discriminants.
 
-For every fundamental D in a range, the class number is computed by each
-applicable route (character sum, cycle sums, floor sums, interval sums,
-factored interval sums) and every closed-form table identity that applies to
-D's parity is checked.  One record per discriminant feeds the text, CSV and
-JSON reports; the run passes only if every record agrees everywhere.
+For every fundamental D in a range, routes() computes the class number by each
+applicable route (character sum, cycle, floor, interval and factored interval
+sums), as it does for `quadclass classnum`, and every closed-form table identity
+that applies to D's parity is checked.  One record per discriminant feeds the
+text, CSV and JSON reports; the run passes only if every record agrees everywhere.
 """
 
 import csv
@@ -40,10 +40,12 @@ from .theorems import (
 
 __all__ = [
     "DEFAULT_BASES",
+    "METHODS",
     "CHECK_KEYS",
     "DiscriminantRecord",
     "VerificationReport",
     "fundamental_discriminants",
+    "routes",
     "verify_discriminant",
     "verify_range",
     "columns",
@@ -54,6 +56,10 @@ __all__ = [
 ]
 
 DEFAULT_BASES = tuple(range(2, 14))
+
+# The routes to h(D) in the order routes() runs them.  All but the first and last
+# have a report column per base: dirichlet is h, factored one flag for all B1.
+METHODS = ("dirichlet", "cycle", "floor", "interval", "factored")
 
 # Closed-form checks in report order; which apply depends on D's parity
 # and on gcd(D, 3), the rest stay None.
@@ -120,6 +126,34 @@ def _failed_record(disc: Discriminant, message: str) -> DiscriminantRecord:
     )
 
 
+def routes(disc: Discriminant, bases: Sequence[int], methods=METHODS) -> Iterator[tuple]:
+    """(method, B, HResult) of each route of methods at D: dirichlet first, with B None,
+    then at each base cycle, floor, interval, and factored at each B1 | B, 1 < B1 < B.
+
+    Every base is checked first, and one ek_tables pass counts the E_k tables of the
+    bases coprime to N when floor, interval or factored reads them.  The routes are
+    looked up on each call, so a patched verify.h_theorem1 (or any other) is what runs.
+    """
+    for b in bases:
+        check_base(b)
+    dirichlet, cycle, floor, interval, factored = METHODS
+    if {floor, interval, factored}.intersection(methods):
+        quad_char(disc).ek_tables(tuple(b for b in bases if gcd(b, disc.N) == 1))
+    if dirichlet in methods:
+        yield dirichlet, None, h_dirichlet(disc)
+    for b in bases:
+        if cycle in methods:
+            yield cycle, b, h_theorem1(disc, b)
+        if floor in methods:
+            yield floor, b, h_floor_formula(disc, b)
+        if interval in methods:
+            yield interval, b, h_from_ek(disc, b)
+        if factored in methods:
+            for b1 in range(2, b):
+                if b % b1 == 0:
+                    yield factored, b, h_from_ek_factored(disc, b, b1)
+
+
 def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> DiscriminantRecord:
     """Run every route and every applicable closed-form check for one D.
 
@@ -145,19 +179,13 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
             checks["quarter"] = h_quarter_sum(disc).h == h
             if disc.N % 3:
                 checks["sixth_pair"] = check_s1_s2(disc).passed
-        formulas = {}
-        for family, fn in (
-            ("cycle", h_theorem1),
-            ("floor", h_floor_formula),
-            ("interval", h_from_ek),
-        ):
-            for b in bases:
-                formulas[f"{family}_B{b}"] = fn(disc, b).h if b in coprime else None
-
-        factored = [
-            h_from_ek_factored(disc, b, b1).h == h
-            for b in coprime for b1 in range(2, b) if b % b1 == 0
-        ]
+        formulas = dict.fromkeys(f"{family}_B{b}" for family in METHODS[1:-1] for b in bases)
+        factored = []
+        for family, b, result in routes(disc, coprime, METHODS[1:]):
+            if family in METHODS[1:-1]:
+                formulas[f"{family}_B{b}"] = result.h
+            else:
+                factored.append(result.h == h)
         factored_ok = all(factored) if factored else None
         agree = factored_ok is not False and all(v is None or v == h for v in formulas.values())
         passed = agree and not any(v is False for v in checks.values())
@@ -214,7 +242,7 @@ def verify_range(
 def columns(bases: Sequence[int]) -> list:
     """CSV/JSON column names, fixed by the base list."""
     cols = ["D", "N", "case", "h"]
-    for family in ("cycle", "floor", "interval"):
+    for family in METHODS[1:-1]:
         cols += [f"{family}_B{b}" for b in bases]
     cols.append("factored_ok")
     cols += list(CHECK_KEYS)

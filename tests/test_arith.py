@@ -142,6 +142,14 @@ class TestPrimitiveRoots:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    def test_primality_tested_once_per_call(self, monkeypatch):
+        # 191 tries the candidates 2..19; only the modulus is tested for primality.
+        calls = []
+        real = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+        assert least_primitive_root(191) == 19
+        assert calls == [191]
+
     def test_order_of_least_root_is_full(self):
         for p in (7, 11, 43, 163, 1999):
             g = least_primitive_root(p)

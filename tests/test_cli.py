@@ -51,6 +51,26 @@ class TestClassnum:
         assert main(["classnum", "-D", "-15", "-B", "3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_tables_counted_in_one_pass(self, capsys, monkeypatch):
+        # floor, interval and factored read the E_k tables of every base, all
+        # counted by one ek_tables call before the first route runs.
+        from quadclass.discriminant import QuadChar, quad_char
+
+        real = QuadChar.ek_tables
+        passes = []
+
+        def counting(char, bases):
+            new = [b for b in bases if b not in char._counts]
+            if new:
+                passes.append(new)
+            return real(char, bases)
+
+        monkeypatch.setattr(QuadChar, "ek_tables", counting)
+        quad_char.cache_clear()
+        assert main(["classnum", "-D", "-23"]) == 0
+        assert "h(-23) = 3" in capsys.readouterr().out
+        assert passes == [list(range(2, 14))]
+
 
 class TestExpand:
     def test_bare_modulus(self, capsys):
@@ -267,13 +287,13 @@ class TestTooLarge:
         assert capsys.readouterr().err.count(f"MAX_BASE={MAX_BASE}") == 4
 
     def test_prime_base_refused_before_any_route(self, capsys, monkeypatch):
-        import quadclass.cli as cli
+        import quadclass.verify as V
         from quadclass.classnum import MAX_BASE
 
         def refuse(*args):
             raise AssertionError("factored route ran")
 
-        monkeypatch.setattr(cli, "h_from_ek_factored", refuse)
+        monkeypatch.setattr(V, "h_from_ek_factored", refuse)
         # 100003 > MAX_BASE is prime: factored's divisor scan would find no B1.
         assert main(["classnum", "-D", "-7", "-B", "100003", "--method", "factored"]) == 2
         assert f"MAX_BASE={MAX_BASE}" in capsys.readouterr().err

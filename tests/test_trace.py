@@ -15,10 +15,15 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 LAYERS = (
     "classnum.cycle",
     "classnum.floor",
+    "classnum.interval",
+    "classnum.factored",
     "classnum.ek_table",
     "theorems.closed_forms",
     "classnum.girstmair",
     "discriminant.char_table",
+    "discriminant.enumerate",
+    "verify.record",
+    "arith.primitive_root",
 )
 
 

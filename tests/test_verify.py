@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -10,9 +11,11 @@ from quadclass.discriminant import from_discriminant, quad_char
 from quadclass.verify import (
     CHECK_KEYS,
     DEFAULT_BASES,
+    METHODS,
     columns,
     fundamental_discriminants,
     record_row,
+    routes,
     to_csv,
     to_json,
     to_text,
@@ -222,6 +225,41 @@ class TestReports:
         cols = columns(report.bases)
         row = record_row(report.records[0], report.bases)
         assert list(row) == cols
+
+
+class TestRoutes:
+    def test_order(self):
+        disc = from_discriminant(-23)
+        got = [(family, b, r.method) for family, b, r in routes(disc, (2, 6))]
+        assert got == [
+            ("dirichlet", None, "dirichlet"),
+            ("cycle", 2, "cycle[B=2]"),
+            ("floor", 2, "floor[B=2]"),
+            ("interval", 2, "interval[B=2]"),
+            ("cycle", 6, "cycle[B=6]"),
+            ("floor", 6, "floor[B=6]"),
+            ("interval", 6, "interval[B=6]"),
+            ("factored", 6, "factored[B=6,B1=2]"),
+            ("factored", 6, "factored[B=6,B1=3]"),
+        ]
+        assert [f for f, _, _ in routes(disc, (4,), ("factored", "cycle"))] == ["cycle", "factored"]
+
+    @pytest.mark.parametrize("D", [-23, -40, -15, -1019])
+    def test_matches_verify_discriminant(self, D):
+        rec = verify_discriminant(D)
+        assert rec.passed and rec.h == h_by_reduced_forms(D)
+        disc = from_discriminant(D)
+        coprime = [b for b in DEFAULT_BASES if gcd(b, disc.N) == 1]
+        formulas, factored = {}, []
+        for family, b, r in routes(disc, coprime, METHODS):
+            if family == "dirichlet":
+                assert r.h == rec.h
+            elif family == "factored":
+                factored.append(r.h == rec.h)
+            else:
+                formulas[f"{family}_B{b}"] = r.h
+        assert formulas == {k: v for k, v in rec.formulas.items() if v is not None}
+        assert rec.factored_ok == (all(factored) if factored else None)
 
 
 class TestFailurePath:
