@@ -2,8 +2,9 @@
 
 Everything here is exact integer arithmetic; no floats anywhere.  These are
 the primitives the character, expansion and class number layers sit on:
-trial division, multiplicative orders and primitive roots.  The character
-itself is tabulated by discriminant.QuadChar, from Legendre rows.
+one cached trial division, which every primality, squarefree and phi test
+reads, multiplicative orders and primitive roots.  The character itself
+is tabulated by discriminant.QuadChar, from Legendre rows.
 """
 
 from functools import lru_cache
@@ -47,11 +48,15 @@ def phi_with_primes(n: int) -> tuple[int, tuple[int, ...]]:
     """(phi(n), the distinct primes of phi(n)): factored once per n for every base that
     multiplicative_order, is_primitive_root and h_theorem1's order certificate take."""
     phi = euler_phi(n)
-    return phi, tuple(distinct_prime_factors(phi))
+    return phi, distinct_prime_factors(phi)
 
 
-def distinct_prime_factors(n: int) -> list[int]:
-    """Distinct primes dividing n, ascending, by trial division."""
+@lru_cache(maxsize=64)
+def distinct_prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct primes dividing n, ascending, as a tuple; () for n < 2.
+
+    The only trial division in quadclass, cached: one D asks for N and phi(N)
+    from the squarefree test, the character table, phi and primality tests."""
     ps = []
     d = 2
     while d * d <= n:
@@ -62,7 +67,7 @@ def distinct_prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         ps.append(n)
-    return ps
+    return tuple(ps)
 
 
 def is_squarefree(n: int) -> bool:
@@ -83,19 +88,8 @@ def euler_phi(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; fine at the scales used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    """True when n is prime: its cached factorization is (n,), so no loop of its own."""
+    return n > 1 and distinct_prime_factors(n) == (n,)
 
 
 def is_primitive_root(b: int, p: int) -> bool:
@@ -107,8 +101,9 @@ def is_primitive_root(b: int, p: int) -> bool:
     return all(pow(b, (p - 1) // q, p) != 1 for q in phi_with_primes(p)[1])
 
 
+@lru_cache(maxsize=64)
 def least_primitive_root(p: int) -> int:
-    """Smallest positive primitive root of the odd prime p, tested for primality once."""
+    """Smallest positive primitive root of the odd prime p; cached, one search per p."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
     primes = phi_with_primes(p)[1]

@@ -201,7 +201,8 @@ def _radix_walk(base: int, n: int, w: int, s: int, where: str):
     decimal A, whose low nibbles are the digits.  One repunit mask with a
     bit at the bottom of every slot (of every other slot when s = -1) picks
     bit b of each digit from A >> b, so t is m (2m) popcounts.  The mask is
-    the only one kept: A is shifted once per popcount.  The decimal context
+    the only one kept: A is shifted once per popcount, but bit 0 is read
+    from A itself (A >> 0 is a copy in CPython).  The decimal context
     holds the w digits of A and the digits of x < N, its Emax the exponent
     of x B^w, and it traps any rounding, so A is exact or the walk raises
     InternalError.
@@ -232,7 +233,7 @@ def _radix_walk(base: int, n: int, w: int, s: int, where: str):
 
     def walk(x):
         v, y = divide(x)
-        t = sum(((v >> b) & ones).bit_count() << b for b in range(bits))
+        t = sum(((v >> b if b else v) & ones).bit_count() << b for b in range(bits))
         if s == -1:
             odd = sum(((v >> (width + b)) & ones).bit_count() << b for b in range(bits))
             t = t - odd if w % 2 else odd - t

@@ -111,7 +111,9 @@ class TestSquarefreePhiPrime:
     def test_is_prime_matches_sympy(self):
         for n in range(-5, 5000):
             assert is_prime(n) == (n >= 2 and sympy_isprime(n))
-        for n in (104729, 104730, 999983, 1000003):
+        # 9999991 is prime; 3137**2 and 3121 * 3137 have their least prime
+        # factor just below sqrt(MAX_N) = 3162.
+        for n in (104729, 104730, 999983, 1000003, 9999991, 3137**2, 3121 * 3137):
             assert is_prime(n) == sympy_isprime(n)
 
 
@@ -137,6 +139,7 @@ class TestPrimitiveRoots:
         for p in (11, 191):
             arith.phi_with_primes.cache_clear()
             arith.multiplicative_order.cache_clear()
+            arith.least_primitive_root.cache_clear()
             calls.clear()
             least_primitive_root(p)
             counts.append(len(calls))
@@ -147,6 +150,7 @@ class TestPrimitiveRoots:
         calls = []
         real = arith.is_prime
         monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+        arith.least_primitive_root.cache_clear()
         assert least_primitive_root(191) == 19
         assert calls == [191]
 

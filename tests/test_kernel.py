@@ -18,7 +18,13 @@ import pytest
 
 import quadclass.arith as arith
 import quadclass.classnum as classnum
-from quadclass.arith import is_prime, is_primitive_root, least_primitive_root
+from quadclass.arith import (
+    distinct_prime_factors,
+    is_prime,
+    is_primitive_root,
+    least_primitive_root,
+    multiplicative_order,
+)
 from quadclass.classnum import (
     all_cycles,
     alternating_digit_sum,
@@ -209,9 +215,8 @@ def test_dirichlet_sum_by_parts_matches_per_x_sum():
         assert h_dirichlet(disc).raw_sum == want, disc.D
 
 
-@pytest.mark.parametrize("D", [-47, -4004])
-def test_n_is_factored_once_per_discriminant(monkeypatch, D):
-    # N and phi(N) are factored once per D, however many bases share them.
+def _record_factoring(monkeypatch) -> list[int]:
+    """Route every quadclass module's distinct_prime_factors through a recorder of its arguments."""
     calls = []
     real = arith.distinct_prime_factors
 
@@ -222,15 +227,53 @@ def test_n_is_factored_once_per_discriminant(monkeypatch, D):
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "quadclass" and hasattr(module, "distinct_prime_factors"):
             monkeypatch.setattr(module, "distinct_prime_factors", counting)
+    return calls
+
+
+def _clear_caches():
+    # By the names imported above: the tests replace the module attributes.
+    for cache in (quad_char, h_dirichlet, arith.multiplicative_order, arith.phi_with_primes,
+                  distinct_prime_factors, least_primitive_root):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("D", [-47, -4004])
+def test_n_is_factored_once_per_discriminant(monkeypatch, D):
+    # N and phi(N) are factored once per D, however many bases share them.
+    calls = _record_factoring(monkeypatch)
     first = next(b for b in DEFAULT_BASES if gcd(b, D) == 1)
     counts = []
     for bases in ((first,), DEFAULT_BASES):
-        for cache in (quad_char, h_dirichlet, arith.multiplicative_order, arith.phi_with_primes):
-            cache.cache_clear()
+        _clear_caches()
         calls.clear()
         assert verify_discriminant(D, bases).passed
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("D", [-47, -4004, -300007])
+def test_each_n_is_trial_divided_once(monkeypatch, D):
+    # Every caller, primality tests included, reads one cached factorization per n.
+    calls = _record_factoring(monkeypatch)
+    _clear_caches()
+    assert verify_discriminant(D, DEFAULT_BASES).passed
+    assert distinct_prime_factors.cache_info().misses == len(set(calls))
+
+
+def test_primitive_root_searched_once_per_prime_n(monkeypatch):
+    # The bases that walk W > 1 classes at prime N share one root search.
+    def classes(p, b):  # W = (p - 1) / |<B, -1>|
+        e = multiplicative_order(b, p)
+        return (p - 1) // (e if e % 2 == 0 and pow(b, e // 2, p) == p - 1 else 2 * e)
+
+    disc = next(d for d in fundamentals_with_n_up_to(5000) if is_prime(d.N)
+                and sum(classes(d.N, b) > 1 for b in DEFAULT_BASES if b % d.N) >= 2)
+    calls = []
+    monkeypatch.setattr(classnum, "least_primitive_root", lambda p: calls.append(p) or least_primitive_root(p))
+    _clear_caches()
+    assert verify_discriminant(disc.D).passed
+    assert len(calls) >= 2
+    assert least_primitive_root.cache_info().misses == 1
 
 
 # One (D, B) per branch of the walk: chi(2 mod 47) = +1 with order 23;
