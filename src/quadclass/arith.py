@@ -36,7 +36,13 @@ def multiplicative_order(b: int, n: int) -> int:
         raise InvalidModulusError(f"modulus must exceed 1, got {n}")
     if gcd(b, n) != 1:
         raise NotCoprimeError(f"gcd({b}, {n}) > 1, order undefined")
-    order, primes = phi_with_primes(n)
+    phi, primes, _ = phi_with_primes(n)
+    return order_within(b, n, phi, primes)
+
+
+def order_within(b: int, n: int, order: int, primes: tuple[int, ...]) -> int:
+    """The order of b mod n from a multiple of it and a tuple holding that multiple's
+    primes (others are skipped): each is stripped while the power still annihilates."""
     for p in primes:
         while order % p == 0 and pow(b, order // p, n) == 1:
             order //= p
@@ -44,11 +50,11 @@ def multiplicative_order(b: int, n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def phi_with_primes(n: int) -> tuple[int, tuple[int, ...]]:
-    """(phi(n), the distinct primes of phi(n)): factored once per n for every base that
-    multiplicative_order, is_primitive_root and h_theorem1's order certificate take."""
+def phi_with_primes(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(phi(n), the distinct primes of phi(n), those of n): factored once per n for every
+    base that the orders, primitive roots and h_theorem1's certificates and starts take."""
     phi = euler_phi(n)
-    return phi, distinct_prime_factors(phi)
+    return phi, distinct_prime_factors(phi), distinct_prime_factors(n)
 
 
 @lru_cache(maxsize=64)
@@ -102,11 +108,15 @@ def is_primitive_root(b: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=64)
-def least_primitive_root(p: int) -> int:
-    """Smallest positive primitive root of the odd prime p; cached, one search per p."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime, got {p}")
-    primes = phi_with_primes(p)[1]
+def least_primitive_root(p: int, primes: tuple[int, ...] | None = None) -> int:
+    """Smallest positive primitive root of the odd prime p; cached, one search per p.
+    Given primes, a tuple holding those of p - 1, p is taken as prime and nothing is
+    factored: h_theorem1 passes phi(N)'s for each p | N, as p - 1 divides phi(N)."""
+    if primes is None:
+        if not is_prime(p) or p == 2:
+            raise ValueError(f"need an odd prime, got {p}")
+        primes = phi_with_primes(p)[1]
+    primes = [q for q in primes if (p - 1) % q == 0]
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
             return g

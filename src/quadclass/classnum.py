@@ -15,14 +15,13 @@ built once per D.  The cycle route walks the orbits of x -> Bx mod N over
 it in place (h_theorem1), with long division over only half of the
 residues: the reflection x -> N - x negates chi and complements every
 digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
-(Midy's theorem, generalised).  At B = 2, 4, 8 and 10 a long walk that
-marks nothing is one big quotient floor(B^w x/N), its signed digit sum read
-by popcounts; any other walk steps, dividing in base B^k and reading the
-signed sum of each k base-B digits from a table.  For prime N the classes
-are the cosets of <B, -1> in a cyclic group, so the walks start at the
-powers of a primitive root; for composite N the walk marks only the points
-it needs to tell the next class from the walked ones.  The girstmair route
-is its one-orbit case.
+(Midy's theorem, generalised).  At B = 2, 4, 8 and 10 a long walk is one
+big quotient floor(B^w x/N), its signed digit sum read by popcounts; any
+other walk steps, dividing in base B^k and reading the signed sum of each k
+base-B digits from a table.  The classes are the cosets of <B, -1> in the
+units mod N; the walks start at products of the generators of a chain of
+cyclic kernels, one factor of N at a time (the powers of a primitive root
+for prime N), and mark nothing.  The girstmair route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
@@ -38,14 +37,15 @@ from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, Context, Decimal, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import gcd
+from itertools import accumulate, islice
+from math import gcd, lcm
 
 from .arith import (
     is_prime,
     is_primitive_root,
     least_primitive_root,
     multiplicative_order,
+    order_within,
     phi_with_primes,
 )
 from .discriminant import (
@@ -178,17 +178,59 @@ def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...]]:
     return k, tuple(tab)
 
 
-def _next_start(seen: bytearray, x: int, base: int, n: int, k: int) -> int:
-    """The least u > x with u, u B, ..., u B^(k-1) (mod N) all unmarked, or -1."""
-    while (x := seen.find(0, x + 1)) > 0:
-        u = x
-        for _ in range(k - 1):
-            u = u * base % n
-            if seen[u]:
-                break  # a member of a walked class
-        else:
-            return x
-    return -1
+def _class_starts(base: int, n: int, e: int, self_paired: bool, walks: int, where: str):
+    """The starts of the W walks, lazily: 1, then the rest of the box of products of
+    kernel generators in h_theorem1's tower, built and certified after the first walk."""
+    yield 1
+    if walks == 1:
+        return
+    _, phi_primes, primes = phi_with_primes(n)
+    two = n & -n  # the 2-part of N: 1, 4 or 8
+    # (d, q, part, k, g) per step M -> M/d: q the prime power of M that shrinks, part
+    # the power of its prime in N, and g generating the kernel, of order k, mod part.
+    steps = [(2, 8, 8, 2, 5)] if two == 8 else []
+    steps += [(4, 4, two, 2, two - 1)] if two > 1 else []
+    steps += [(p, p, p, p - 1, least_primitive_root(p, phi_primes)) for p in primes if p > 2]
+    box = []  # (gamma_i, r_i), from the last step back to the first
+    m = order = size = 1  # M_r = 1, where ord(B) = |H| = 1
+    for d, q, part, k, g in reversed(steps):
+        m *= d
+        o = order_within(base, q, gcd(e, k), phi_primes)  # k is the exponent of (Z/q)*
+        if k % o or pow(base, o, q) != 1 or any(o % p == 0 and pow(base, o // p, q) == 1
+                                                  for p in phi_primes):
+            raise InternalError(f"{where}: {o} is not the order of {base} mod {q}")
+        order = lcm(order, o)
+        minus = order % 2 == 0 and pow(base, order // 2, m) == m - 1  # -1 in <B> mod M
+        below, size = size, order if minus else 2 * order
+        r, left = divmod(k * below, size)
+        if left:
+            raise InternalError(f"{where}: r = {k} * {below} / {size} mod {m} is not whole")
+        if r == 1:
+            continue
+        rest = n // part
+        gamma = 1 + rest * ((g - 1) * pow(rest, -1, part) % part)  # g mod part, 1 mod rest
+        for p in phi_primes:
+            if r % p == 0 and pow(gamma, k // p, n) == 1:
+                raise InternalError(
+                    f"{where}: start {gamma} misses classes, {gamma}^{k // p} = 1 (mod {n})")
+        box.append((gamma, r))
+    if order != e:
+        raise InternalError(f"{where}: the orders mod N's prime powers have lcm {order}, not {e}")
+    if minus != self_paired:
+        raise InternalError(f"{where}: the tower and B^{e // 2} disagree on -1 in <B> mod {n}")
+    yield from islice(_products(n, box), 1, None)  # 1 is walked already
+
+
+def _products(n: int, box: list[tuple[int, int]]):
+    """prod gamma^j (mod N) over j < r for each (gamma, r) in box, 1 first, box[0]'s j fastest."""
+    if not box:
+        yield 1
+        return
+    gamma, r = box[0]
+    for x in _products(n, box[1:]):
+        for _ in range(r):
+            yield x
+            x = x * gamma % n
 
 
 def _radix_walk(base: int, n: int, w: int, s: int, where: str):
@@ -202,10 +244,11 @@ def _radix_walk(base: int, n: int, w: int, s: int, where: str):
     bit at the bottom of every slot (of every other slot when s = -1) picks
     bit b of each digit from A >> b, so t is m (2m) popcounts.  The mask is
     the only one kept: A is shifted once per popcount, but bit 0 is read
-    from A itself (A >> 0 is a copy in CPython).  The decimal context
-    holds the w digits of A and the digits of x < N, its Emax the exponent
-    of x B^w, and it traps any rounding, so A is exact or the walk raises
-    InternalError.
+    from A itself (A >> 0 is a copy in CPython).  At B = 2 with s = +1 the
+    mask would be all ones, so t is A's popcount and no mask is built.  The
+    decimal context holds the w digits of A and the digits of x < N, its
+    Emax the exponent of x B^w, and it traps any rounding, so A is exact or
+    the walk raises InternalError.
     """
     if base == 10:
         width, bits = 8, 4
@@ -229,6 +272,12 @@ def _radix_walk(base: int, n: int, w: int, s: int, where: str):
     else:
         return None
     period = width if s == 1 else 2 * width  # from one mask bit to the next
+    if period == 1:
+        def walk(x):
+            v, y = divide(x)
+            return v.bit_count(), y
+
+        return walk
     ones = ((1 << period * -(-w * width // period)) - 1) // ((1 << period) - 1)  # over w slots
 
     def walk(x):
@@ -293,46 +342,42 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     chi(B) = -1, so every block starts on the sign +1.  The steps % k
     digits left over (all of them when no table fits) go one at a time.
 
-    One quotient per walk.  The same unrolling with k = w makes a walk that
-    marks nothing one division, A = floor(B^w x/N) with remainder y_w, the
-    closure point.  B = 2, 4 and 8 have a C radix in the binary int and 10
-    in decimal, so _radix_walk reads the signed digit sum of A there
-    through bit masks, on every walk of MIN_QUOTIENT_STEPS steps or more.
-    Every other walk steps: at another base, shorter, or one that marks.
+    One quotient per walk.  The same unrolling with k = w makes a walk one
+    division, A = floor(B^w x/N) with remainder y_w, the closure point.
+    B = 2, 4 and 8 have a C radix in the binary int and 10 in decimal, so
+    _radix_walk reads the signed digit sum of A there through bit masks, on
+    every walk of MIN_QUOTIENT_STEPS steps or more.  Every other walk steps.
 
     One start per class.  A walk of w steps covers a class C u -C (C alone
     when -C = C) of 2w units, so there are W = phi(N)/(2w) classes: the
-    cosets of the subgroup H = <B, -1> of 2w units.
-
-      * N prime: the units form a cyclic group of order N - 1, so H is its
-        only subgroup of order 2w, u is in H exactly when u^(2w) = 1, and
-        the classes are the cosets g^j H, j < W, when g^(W/q) is outside H
-        for each prime q | W, that is z^(W/q) != 1 for z = g^(2w).  g is the
-        least primitive root, and the walks start at its powers mod N.
-      * N composite: every walk but the last marks y_i and N - y_i at its
-        block points i = 0, k, 2k, ... and at each leftover point.  So each
-        y_i has a marked y_(i+j) with j < max(k, 1), where y_w = x (N - x
-        when -C = C) counts as marked.  The next start is the least unit u
-        such that u B^j (mod N) is unmarked for every j < k, and u itself
-        is.  u = +/-y_i in a walked class fails, since +/-y_i B^j =
-        +/-y_(i+j).  u in a class not yet walked passes, since its images
-        stay in that class, which carries no mark.  So the scan finds
-        exactly one start per class; the last walk needs no marks.
-
-    W = 1 needs neither: its one walk starts at 1.
+    cosets of H = <B, -1> in the units G mod N.  _class_starts peels
+    N = M_0 -> ... -> M_r = 1 one factor at a time: 8 -> 4 when 8 | N, the
+    2-part, then each odd prime p.  The kernel of (Z/M_(i-1))* -> (Z/M_i)*
+    is cyclic of order k_i (2, 2, p - 1), generated by gamma_i: 5, -1 or the
+    least primitive root of p there, 1 mod the rest of N.  With H(i) the
+    preimage in G of H mod M_i, H = H(0) c ... c H(r) = G, and H(i) =
+    <gamma_i> H(i-1): u in H(i) is h c, h in H and c = 1 mod M_i, so c is a
+    power of gamma_i mod M_(i-1).  So H(i)/H(i-1) is cyclic, generated by
+    gamma_i, of order r_i = k_i |H mod M_i| / |H mod M_(i-1)|, as |H(i)| =
+    |H mod M_i| phi(N)/phi(M_i); |H mod M| is ord_M(B), doubled unless -1
+    is a power of B mod M.  Hence the box prod_i gamma_i^(j_i), j_i < r_i,
+    is one unit per coset of H: one start per class.  Prime N is one step,
+    gamma = g and r = W.  The first walk starts at 1; W = 1 needs no tower.
 
     Checks, each raising InternalError: chi(B) = -1 needs e even; -1 a
     power of B needs chi(B) = -1 and e/2 odd; each walk lands on x (on
     N - x when -C = C); the division is exact with a positive quotient; a
-    decimal signal (the context is exact or it traps).  Three more replace
+    decimal signal (the context is exact or it traps).  More replace
     counting the cycles f and checking f e = phi(N): phi(N) is a multiple
-    of 2w; e is certified as the order, B^(e/q) != 1 (mod N) for each prime
-    q | e; the starts are certified, by z above for prime N, or by the scan
-    finding W starts.  A walk that closes gives B^e = 1 (B^(e/2) = -1 when
-    -C = C), so with the certificate e is the order and -C = C is decided
-    right.  Then every class has exactly 2w units, W is the number of
-    classes, and the W starts cover every unit once, which is what
-    f e = phi(N) asserted.
+    of 2w; e is the order, B^(e/q) != 1 (mod N) for each prime q | e, and so
+    is B's order mod each prime power of N; their lcm is e, each r_i is
+    whole and the tower's -1 decision at M_0 is -C = C, so prod_i r_i = W;
+    gamma_i^(k_i/q) != 1 for each prime q | r_i, so gamma_i generates
+    H(i)/H(i-1) (the kernel's part in H mod M_(i-1) has order k_i/r_i).  A
+    walk that closes gives B^e = 1 (B^(e/2) = -1 when -C = C), so with the
+    certificate e is the order and -C = C is decided right.  Then every
+    class has exactly 2w units, W is the number of classes, and the W
+    starts cover every unit once, which is what f e = phi(N) asserted.
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -350,7 +395,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     if self_paired and half % 2 == 0:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
     steps = half if self_paired else e
-    phi, phi_primes = phi_with_primes(n)
+    phi, phi_primes, _ = phi_with_primes(n)
     if phi % (2 * steps):
         raise InternalError(f"{where}: cycle count phi({n}) / (2 * {steps}) is not an integer")
     # The check above makes e (steps or 2 steps) divide phi(N), so the primes
@@ -365,40 +410,19 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
     long_walk = blocks + rest >= MIN_QUOTIENT_STEPS
     quotient = _radix_walk(base, n, steps, s, where) if long_walk else None
-    seen = None
-    if walks > 1 and phi == n - 1:
-        g = least_primitive_root(n)
-        z = pow(g, 2 * steps, n)
-        for q in phi_primes:
-            if walks % q == 0 and pow(z, walks // q, n) == 1:
-                raise InternalError(
-                    f"{where}: start {g} misses classes, {z}^{walks // q} = 1 (mod {n})")
-    elif walks > 1:
-        seen = char.nonunit_flags()  # non-units start out marked, so find(0) lands only on units
     raw = 0
-    x = 1  # the smallest unit starts the first class
-    for left in range(walks - 1, -1, -1):
-        marks = seen if left else None
-        if marks is None and quotient is not None:
+    for x in _class_starts(base, n, e, self_paired, walks, where):
+        if quotient is not None:
             t, y = quotient(x)
         else:
             y = x
             t = 0
-            if marks is None:
-                for _ in range(blocks):
-                    y *= bk
-                    t += tab[y // n]
-                    y %= n
-            else:
-                for _ in range(blocks):
-                    marks[y] = marks[n - y] = 1
-                    y *= bk
-                    t += tab[y // n]
-                    y %= n
+            for _ in range(blocks):
+                y *= bk
+                t += tab[y // n]
+                y %= n
             sg = 1
             for _ in range(rest):
-                if marks is not None:
-                    marks[y] = marks[n - y] = 1
                 y *= base
                 t += sg * (y // n)
                 y %= n
@@ -406,12 +430,6 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         if y != (n - x if self_paired else x):
             raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
         raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
-        if left and seen is None:
-            x = x * g % n
-        elif left:
-            x = _next_start(seen, x, base, n, k)
-            if x < 0:
-                raise InternalError(f"{where}: found {walks - left} of {walks} classes")
     return _exact_h(disc, raw, base - s, f"cycle[B={base}]", raw)
 
 
@@ -472,8 +490,8 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
     walk covers (p - 1)/2 digits, in one quotient at B = 2, 8 or 10 once
     they take MIN_QUOTIENT_STEPS steps and k per step otherwise, the
-    reflection supplies the other digits, and with one class it marks
-    nothing.
+    reflection supplies the other digits, and with one class it builds
+    no tower of class starts.
     """
     check_size(p)
     if not is_prime(p):

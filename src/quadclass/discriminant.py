@@ -259,10 +259,6 @@ class QuadChar:
                 self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
         return [self._counts[b] for b in bases]
 
-    def nonunit_flags(self) -> bytearray:
-        """A new bytearray f of length N + 1 with f[x] = 1 exactly when chi(x) = 0."""
-        return bytearray(self.values().tobytes().translate(_NONUNIT))
-
 
 # One period of chi4, chi8 or chi4 chi8: the row of the prime 2, which only an
 # even D has.
@@ -273,8 +269,6 @@ _TWO_ROWS = {
 }
 
 
-# values().tobytes() holds chi(x) as one byte, 0 exactly when chi(x) = 0.
-_NONUNIT = bytes([1]) + bytes(255)
 _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signed bytes: 1 <-> 255 (-1)
 
 

@@ -11,6 +11,7 @@ and the floor and Dirichlet sums term by term).
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -68,23 +69,7 @@ def _walk_shape(disc, base, cycles):
     return walks, steps, k
 
 
-def test_orbit_walk_matches_cycle_contributions(monkeypatch):
-    flags = []  # the seen flags of each h_theorem1 call that asks for them
-
-    class CountingFlags(bytearray):
-        finds = 0
-
-        def find(self, *args):
-            self.finds += 1
-            return super().find(*args)
-
-    nonunit_flags = QuadChar.nonunit_flags
-
-    def counting_flags(char):
-        flags.append(CountingFlags(nonunit_flags(char)))
-        return flags[-1]
-
-    monkeypatch.setattr(QuadChar, "nonunit_flags", counting_flags)
+def test_orbit_walk_matches_cycle_contributions():
     branches = set()  # (chi(B), whether -1 is a power of B)
     shapes = set()
     for disc in fundamentals_with_n_up_to(2000):
@@ -92,7 +77,6 @@ def test_orbit_walk_matches_cycle_contributions(monkeypatch):
         for base in _coprime_bases(disc.N):
             cycles = all_cycles(base, disc.N).cycles
             total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
-            flags.clear()
             got = h_theorem1(disc, base)
             assert total.denominator == 1, (disc.D, base)
             assert got.h == total, (disc.D, base)
@@ -101,25 +85,18 @@ def test_orbit_walk_matches_cycle_contributions(monkeypatch):
             branches.add((char.eval(base), disc.N - 1 in one.cycle))
             walks, steps, k = _walk_shape(disc, base, cycles)
             if walks == 1:
-                assert not flags, (disc.D, base)  # one class needs no seen flags
                 shapes.add("W = 1")
             elif is_prime(disc.N):
-                assert not flags, (disc.D, base)  # the starts are powers of a primitive root
                 shapes.add("W > 1, N prime")
             else:
-                # The scan runs after every walk but the last; each rejection
-                # costs one more find.
-                (seen,) = flags
-                assert seen.finds >= walks - 1, (disc.D, base)
-                if seen.finds > walks - 1:
-                    shapes.add("W > 1, a candidate rejected")
+                shapes.add("W > 1, N composite")
             if steps < k:
                 shapes.add("steps < k")
             elif steps % k:
                 shapes.add("steps % k != 0")
     # chi(B) = +1 with -1 a power of B would force chi(-1) = +1.
     assert branches == {(1, False), (-1, False), (-1, True)}
-    assert shapes == {"W = 1", "W > 1, N prime", "W > 1, a candidate rejected", "steps < k", "steps % k != 0"}
+    assert shapes == {"W = 1", "W > 1, N prime", "W > 1, N composite", "steps < k", "steps % k != 0"}
 
 
 def test_orbit_walk_without_digit_tables():
@@ -269,7 +246,8 @@ def test_primitive_root_searched_once_per_prime_n(monkeypatch):
     disc = next(d for d in fundamentals_with_n_up_to(5000) if is_prime(d.N)
                 and sum(classes(d.N, b) > 1 for b in DEFAULT_BASES if b % d.N) >= 2)
     calls = []
-    monkeypatch.setattr(classnum, "least_primitive_root", lambda p: calls.append(p) or least_primitive_root(p))
+    monkeypatch.setattr(classnum, "least_primitive_root",
+                        lambda p, primes: calls.append(p) or least_primitive_root(p, primes))
     _clear_caches()
     assert verify_discriminant(disc.D).passed
     assert len(calls) >= 2
@@ -291,6 +269,80 @@ def test_wrong_period_is_caught(monkeypatch, wrong):
     for D, base in BRANCHES:
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}"):
             h_theorem1(from_discriminant(D), base)
+
+
+def test_class_starts_are_one_per_class(monkeypatch):
+    # The starts h_theorem1 walks from, against the all_cycles partition with
+    # a cycle C and its reflection -C as one class: W starts in W classes.
+    starts = []
+    real = classnum._class_starts
+
+    def recording(*args):
+        for x in real(*args):
+            starts.append(x)
+            yield x
+
+    monkeypatch.setattr(classnum, "_class_starts", recording)
+    kinds = set()  # the shapes of the N with more than one class; 3 stands for 3 or more
+    for disc in fundamentals_with_n_up_to(3000):
+        n = disc.N
+        for base in [*BASES, 17, 67]:
+            if gcd(base, n) > 1:
+                continue
+            starts.clear()
+            h_theorem1(disc, base)
+            cycles = all_cycles(base, n).cycles
+            index = {}  # unit -> the index of its cycle
+            for i, c in enumerate(cycles):
+                index.update(dict.fromkeys(c.cycle, i))
+            classes = {min(index[x], index[n - x]) for x in (c.cycle[0] for c in cycles)}
+            hit = {min(index[x], index[n - x]) for x in starts}
+            assert len(starts) == len(hit) == len(classes), (disc.D, base)
+            if len(starts) > 1:
+                odd = len(distinct_prime_factors(n)) - (n % 2 == 0)  # odd primes of N
+                kinds.add("8 | N" if n % 8 == 0 else "4 || N" if n % 4 == 0
+                          else "prime" if odd == 1 else f"odd, {min(odd, 3)} primes")
+    assert kinds == {"8 | N", "4 || N", "prime", "odd, 2 primes", "odd, 3 primes"}
+
+
+@pytest.mark.parametrize(
+    "q, wrong",
+    [
+        pytest.param(4, lambda o: 2 * o, id="lcm-moves"),  # ord_4(3) = 2, the lcm becomes 60
+        pytest.param(11, lambda o: 2 * o, id="lcm-stays"),  # ord_11(3) = 5, the lcm stays 30
+        pytest.param(7, lambda o: o // 2, id="halved"),  # ord_7(3) = 6
+        pytest.param(13, lambda o: 7 * o, id="outside-phi"),  # 7 does not divide phi(4004)
+    ],
+)
+def test_wrong_factor_order_is_caught(monkeypatch, q, wrong):
+    # 3 has order 30 mod 4004 = 4 * 7 * 11 * 13 and W = 24 classes.  A wrong
+    # order mod one prime power would misplace the starts of the tower.
+    real = classnum.order_within
+
+    def order_within(b, n, *rest):
+        o = real(b, n, *rest)
+        return wrong(o) if (b, n) == (3, q) else o
+
+    monkeypatch.setattr(classnum, "order_within", order_within)
+    with pytest.raises(InternalError, match=r"cycle\[B=3\] at D=-4004: "):
+        h_theorem1(from_discriminant(-4004), 3)
+    record = verify_discriminant(-4004)
+    assert not record.passed
+    assert "cycle[B=3] at D=-4004: " in record.error
+
+
+def test_cycle_walk_holds_nothing_of_size_n():
+    # N = 4 * 5 * 73 * 137 has W = 96 classes at B = 3, each a walk of 408
+    # steps: the starts come from the unit group, with no array of N flags.
+    disc = from_discriminant(-200020)
+    h_theorem1(disc, 3)  # the character table and the digit tables, outside the trace
+    tracemalloc.start()
+    try:
+        h_theorem1(disc, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < disc.N // 8
 
 
 def test_doubled_period_needs_the_order_certificate(monkeypatch):

@@ -1,13 +1,13 @@
-"""One quotient per walk at B = 2, 4, 8 and 10, and the prime-N class starts.
+"""One quotient per walk at B = 2, 4, 8 and 10, and the class starts.
 
-h_theorem1 reads a walk that marks nothing off one quotient floor(B^w x/N)
-where B has a C radix (classnum._radix_walk), and for prime N it starts
-its walks at the powers of a primitive root instead of scanning marks.
-Each is diffed here against routes that share none of that code: per-digit
-long division, the per-cycle reference h_cycle_contribution over
+h_theorem1 reads a walk off one quotient floor(B^w x/N) where B has a C
+radix (classnum._radix_walk), and starts its walks at products of kernel
+generators (the powers of a primitive root for prime N) instead of scanning
+marks.  Each is diffed here against routes that share none of that code:
+per-digit long division, the per-cycle reference h_cycle_contribution over
 all_cycles, and raw_sum = (B - chi(B)) h with h from h_dirichlet.  Walks
 shorter than MIN_QUOTIENT_STEPS step instead, so every diff also runs with
-that bound at 0, where every walk that marks nothing is a quotient.
+that bound at 0, where every walk is a quotient.
 """
 
 import decimal
@@ -101,16 +101,16 @@ def test_quotient_walks_match_cycle_contributions(monkeypatch):
                 assert got.raw_sum == total * (base - s) == h * (base - s), (disc.D, base)
                 quotients = sum(calls for (calls,) in made)
                 if walks == 1:
-                    kind, want = "W = 1", 1
+                    kind = "W = 1"
                 elif is_prime(disc.N):
-                    kind, want = "W > 1, N prime", walks  # every walk marks nothing
+                    kind = "W > 1, N prime"
                 else:
-                    kind, want = "W > 1, N composite", 1  # only the last walk marks nothing
+                    kind = "W > 1, N composite"
                 if min_steps == 0:
-                    assert quotients == want, (disc.D, base)
+                    assert quotients == walks, (disc.D, base)  # no walk marks, so each is a quotient
                     shapes.add((kind, s, self_paired))
                 else:
-                    assert quotients in (0, want), (disc.D, base)
+                    assert quotients in (0, walks), (disc.D, base)
     signs = ((1, False), (-1, False), (-1, True))
     assert shapes == {
         (kind, s, self_paired)
@@ -176,11 +176,11 @@ def test_start_certificate(monkeypatch, D, base, power, bad):
     g = least_primitive_root(n)
     # g^power is no primitive root, but its classes g^(power j) H are still
     # all W cosets: power is prime to W, and the certificate accepts it.
-    monkeypatch.setattr(classnum, "least_primitive_root", lambda p: pow(g, power, p))
+    monkeypatch.setattr(classnum, "least_primitive_root", lambda p, primes: pow(g, power, p))
     assert h_theorem1(disc, base).raw_sum == want
     # g^q for a prime q | W reaches only W/q of the cosets, and B only H.
     for start in [pow(g, q, n) for q in bad] + [base]:
-        monkeypatch.setattr(classnum, "least_primitive_root", lambda p: start)
+        monkeypatch.setattr(classnum, "least_primitive_root", lambda p, primes: start)
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}: start {start} misses classes"):
             h_theorem1(disc, base)
 
