@@ -29,7 +29,8 @@ def multiplicative_order(b: int, n: int) -> int:
 
     Starts from phi(n), a multiple of the order, and strips the primes of
     phi(n), from phi_with_primes, while the power still annihilates.  The
-    cache is bounded: a sweep asks for each (b, n) once, while expand() over
+    sweep asks for no order (h_theorem1 reads its period off classnum._tower);
+    the callers are expand, all_cycles and h_girstmair, and expand() over
     every orbit of one (b, n) asks repeatedly in a row.
     """
     if n <= 1:
@@ -52,7 +53,7 @@ def order_within(b: int, n: int, order: int, primes: tuple[int, ...]) -> int:
 @lru_cache(maxsize=64)
 def phi_with_primes(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(phi(n), the distinct primes of phi(n), those of n): factored once per n for every
-    base that the orders, primitive roots and h_theorem1's certificates and starts take."""
+    base that the orders, primitive roots and classnum._tower's certificates take."""
     phi = euler_phi(n)
     return phi, distinct_prime_factors(phi), distinct_prime_factors(n)
 
@@ -110,13 +111,13 @@ def is_primitive_root(b: int, p: int) -> bool:
 @lru_cache(maxsize=64)
 def least_primitive_root(p: int, primes: tuple[int, ...] | None = None) -> int:
     """Smallest positive primitive root of the odd prime p; cached, one search per p.
-    Given primes, a tuple holding those of p - 1, p is taken as prime and nothing is
-    factored: h_theorem1 passes phi(N)'s for each p | N, as p - 1 divides phi(N)."""
+    Given primes, which must be exactly the distinct primes of p - 1, ascending, p is
+    taken as prime and nothing is factored: classnum._tower passes the primes of phi(N)
+    that divide p - 1, so every N that p divides shares the one cache entry."""
     if primes is None:
         if not is_prime(p) or p == 2:
             raise ValueError(f"need an odd prime, got {p}")
         primes = phi_with_primes(p)[1]
-    primes = [q for q in primes if (p - 1) % q == 0]
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
             return g

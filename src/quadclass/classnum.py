@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, Context, Decimal, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd, lcm
 
 from .arith import (
@@ -178,26 +178,28 @@ def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...]]:
     return k, tuple(tab)
 
 
-def _class_starts(base: int, n: int, e: int, self_paired: bool, walks: int, where: str):
-    """The starts of the W walks, lazily: 1, then the rest of the box of products of
-    kernel generators in h_theorem1's tower, built and certified after the first walk."""
-    yield 1
-    if walks == 1:
-        return
+def _tower(base: int, n: int, where: str) -> tuple[int, bool, list[tuple[int, int]]]:
+    """(e, self_paired, box) from h_theorem1's tower: B's order mod N, whether -1 is a
+    power of B mod N, and the (gamma_i, r_i) with r_i > 1, from the last step back."""
     _, phi_primes, primes = phi_with_primes(n)
     two = n & -n  # the 2-part of N: 1, 4 or 8
     # (d, q, part, k, g) per step M -> M/d: q the prime power of M that shrinks, part
-    # the power of its prime in N, and g generating the kernel, of order k, mod part.
-    steps = [(2, 8, 8, 2, 5)] if two == 8 else []
-    steps += [(4, 4, two, 2, two - 1)] if two > 1 else []
-    steps += [(p, p, p, p - 1, least_primitive_root(p, phi_primes)) for p in primes if p > 2]
-    box = []  # (gamma_i, r_i), from the last step back to the first
+    # the power of its prime in N, and g generating the kernel, of order k, mod part
+    # (0 for p's least primitive root, searched when needed); k is (Z/q)*'s exponent.
+    steps = [(p, p, p, p - 1, 0) for p in reversed(primes) if p > 2]  # from M_r = 1 up
+    if two > 1:
+        steps.append((4, 4, two, 2, two - 1))
+    if two == 8:
+        steps.append((2, 8, 8, 2, 5))
+    box = []
     m = order = size = 1  # M_r = 1, where ord(B) = |H| = 1
-    for d, q, part, k, g in reversed(steps):
+    for d, q, part, k, g in steps:
         m *= d
-        o = order_within(base, q, gcd(e, k), phi_primes)  # k is the exponent of (Z/q)*
-        if k % o or pow(base, o, q) != 1 or any(o % p == 0 and pow(base, o // p, q) == 1
-                                                  for p in phi_primes):
+        o = order_within(base, q, k, phi_primes)
+        bad = k % o or pow(base, o, q) != 1
+        for f in phi_primes:
+            bad = bad or o % f == 0 and pow(base, o // f, q) == 1
+        if bad:
             raise InternalError(f"{where}: {o} is not the order of {base} mod {q}")
         order = lcm(order, o)
         minus = order % 2 == 0 and pow(base, order // 2, m) == m - 1  # -1 in <B> mod M
@@ -207,6 +209,7 @@ def _class_starts(base: int, n: int, e: int, self_paired: bool, walks: int, wher
             raise InternalError(f"{where}: r = {k} * {below} / {size} mod {m} is not whole")
         if r == 1:
             continue
+        g = g or least_primitive_root(q, tuple(f for f in phi_primes if k % f == 0))
         rest = n // part
         gamma = 1 + rest * ((g - 1) * pow(rest, -1, part) % part)  # g mod part, 1 mod rest
         for p in phi_primes:
@@ -214,23 +217,22 @@ def _class_starts(base: int, n: int, e: int, self_paired: bool, walks: int, wher
                 raise InternalError(
                     f"{where}: start {gamma} misses classes, {gamma}^{k // p} = 1 (mod {n})")
         box.append((gamma, r))
-    if order != e:
-        raise InternalError(f"{where}: the orders mod N's prime powers have lcm {order}, not {e}")
-    if minus != self_paired:
-        raise InternalError(f"{where}: the tower and B^{e // 2} disagree on -1 in <B> mod {n}")
-    yield from islice(_products(n, box), 1, None)  # 1 is walked already
+    return order, minus, box
 
 
 def _products(n: int, box: list[tuple[int, int]]):
-    """prod gamma^j (mod N) over j < r for each (gamma, r) in box, 1 first, box[0]'s j fastest."""
-    if not box:
-        yield 1
-        return
-    gamma, r = box[0]
-    for x in _products(n, box[1:]):
-        for _ in range(r):
-            yield x
-            x = x * gamma % n
+    """prod gamma^j (mod N) over j < r for each (gamma, r) in box, 1 first, box[0]'s j
+    fastest: one generator per factor, stepping its gamma from each start of the next."""
+    def powers(starts, gamma, r):
+        for x in starts:
+            for _ in range(r):
+                yield x
+                x = x * gamma % n
+
+    starts = (1,)
+    for gamma, r in reversed(box):
+        starts = powers(starts, gamma, r)
+    return starts
 
 
 def _radix_walk(base: int, n: int, w: int, s: int, where: str):
@@ -320,7 +322,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     cycle and its reflection together contribute
     -sum_{y in C} chi(y) (2 a(y) - (B - 1)).  Either -C is another cycle or
     -C = C, and the second holds for every cycle at once, exactly when
-    -1 = B^(e/2) (mod N) with e = multiplicative_order(B, N) even:
+    -1 = B^(e/2) (mod N) with e, the order of B mod N, even:
 
       * -C != C: walk all e members of C from x; the sum above is the
         numerator of C and -C together, one class C u -C of 2e units.
@@ -350,10 +352,10 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
 
     One start per class.  A walk of w steps covers a class C u -C (C alone
     when -C = C) of 2w units, so there are W = phi(N)/(2w) classes: the
-    cosets of H = <B, -1> in the units G mod N.  _class_starts peels
-    N = M_0 -> ... -> M_r = 1 one factor at a time: 8 -> 4 when 8 | N, the
-    2-part, then each odd prime p.  The kernel of (Z/M_(i-1))* -> (Z/M_i)*
-    is cyclic of order k_i (2, 2, p - 1), generated by gamma_i: 5, -1 or the
+    cosets of H = <B, -1> in the units G mod N.  _tower peels N = M_0 ->
+    ... -> M_r = 1 one factor at a time: 8 -> 4 when 8 | N, the 2-part,
+    then each odd prime p.  The kernel of (Z/M_(i-1))* -> (Z/M_i)* is
+    cyclic of order k_i (2, 2, p - 1), generated by gamma_i: 5, -1 or the
     least primitive root of p there, 1 mod the rest of N.  With H(i) the
     preimage in G of H mod M_i, H = H(0) c ... c H(r) = G, and H(i) =
     <gamma_i> H(i-1): u in H(i) is h c, h in H and c = 1 mod M_i, so c is a
@@ -361,49 +363,43 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     gamma_i, of order r_i = k_i |H mod M_i| / |H mod M_(i-1)|, as |H(i)| =
     |H mod M_i| phi(N)/phi(M_i); |H mod M| is ord_M(B), doubled unless -1
     is a power of B mod M.  Hence the box prod_i gamma_i^(j_i), j_i < r_i,
-    is one unit per coset of H: one start per class.  Prime N is one step,
-    gamma = g and r = W.  The first walk starts at 1; W = 1 needs no tower.
+    is one unit per coset of H: one start per class.  ord_M(B) is the lcm
+    of B's orders mod the prime powers of M (the CRT), one more each step,
+    so the last step gives e and, by its -1 decision at M_0 = N, whether
+    -C = C.  Prime N is one step, gamma = g and r = W; at W = 1 every r_i
+    is 1, the one walk starts at 1 and no root is searched.
 
-    Checks, each raising InternalError: chi(B) = -1 needs e even; -1 a
-    power of B needs chi(B) = -1 and e/2 odd; each walk lands on x (on
-    N - x when -C = C); the division is exact with a positive quotient; a
-    decimal signal (the context is exact or it traps).  More replace
-    counting the cycles f and checking f e = phi(N): phi(N) is a multiple
-    of 2w; e is the order, B^(e/q) != 1 (mod N) for each prime q | e, and so
-    is B's order mod each prime power of N; their lcm is e, each r_i is
-    whole and the tower's -1 decision at M_0 is -C = C, so prod_i r_i = W;
-    gamma_i^(k_i/q) != 1 for each prime q | r_i, so gamma_i generates
-    H(i)/H(i-1) (the kernel's part in H mod M_(i-1) has order k_i/r_i).  A
-    walk that closes gives B^e = 1 (B^(e/2) = -1 when -C = C), so with the
-    certificate e is the order and -C = C is decided right.  Then every
-    class has exactly 2w units, W is the number of classes, and the W
-    starts cover every unit once, which is what f e = phi(N) asserted.
+    Checks, each raising InternalError: each order o mod a prime power q
+    has o | k_i, B^o = 1 and B^(o/f) != 1 (mod q) for each prime f | o, so
+    e is the order with no certificate mod N; each r_i is whole;
+    gamma_i^(k_i/f) != 1 for each prime f | r_i, so gamma_i generates
+    H(i)/H(i-1) (the kernel's part in H mod M_(i-1) has order k_i/r_i);
+    chi(B) = -1 needs e even; -1 a power of B needs chi(B) = -1 and e/2
+    odd; phi(N) = 2w prod_i r_i (the cycle count), so the W starts cover
+    every unit once; each walk lands on x (on N - x when -C = C); the
+    division is exact with a positive quotient; a decimal signal (the
+    context is exact or it traps).
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
     vals = char.values()
     n = disc.N
     s = char.eval(base)
-    e = multiplicative_order(base, n)
     where = f"cycle[B={base}] at D={disc.D}"
+    e, self_paired, box = _tower(base, n, where)
     if s == -1 and e % 2:
         raise InternalError(f"{where}: chi(B) = -1 needs an even period, got {e}")
     half = e // 2
-    self_paired = e % 2 == 0 and pow(base, half, n) == n - 1
     if self_paired and s == 1:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) with chi(B) = +1")
     if self_paired and half % 2 == 0:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
     steps = half if self_paired else e
-    phi, phi_primes, _ = phi_with_primes(n)
-    if phi % (2 * steps):
-        raise InternalError(f"{where}: cycle count phi({n}) / (2 * {steps}) is not an integer")
-    # The check above makes e (steps or 2 steps) divide phi(N), so the primes
-    # of e are those of phi(N) that divide e: it must run before this loop.
-    for q in phi_primes:
-        if e % q == 0 and pow(base, e // q, n) == 1:
-            raise InternalError(f"{where}: period {e} is not the order, {base}^{e // q} = 1 (mod {n})")
-    walks = phi // (2 * steps)
+    walks = 1
+    for _, r in box:
+        walks *= r
+    if phi_with_primes(n)[0] != 2 * steps * walks:
+        raise InternalError(f"{where}: cycle count phi({n}) is not 2 * {steps} * {walks}")
     k, tab = _digit_table(base, s)
     bk = base**k
     blocks, rest = divmod(steps, k) if k else (0, steps)
@@ -411,7 +407,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     long_walk = blocks + rest >= MIN_QUOTIENT_STEPS
     quotient = _radix_walk(base, n, steps, s, where) if long_walk else None
     raw = 0
-    for x in _class_starts(base, n, e, self_paired, walks, where):
+    for x in _products(n, box):
         if quotient is not None:
             t, y = quotient(x)
         else:
@@ -490,8 +486,8 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
     walk covers (p - 1)/2 digits, in one quotient at B = 2, 8 or 10 once
     they take MIN_QUOTIENT_STEPS steps and k per step otherwise, the
-    reflection supplies the other digits, and with one class it builds
-    no tower of class starts.
+    reflection supplies the other digits, and with one class its start
+    comes from a one-step tower that searches no root.
     """
     check_size(p)
     if not is_prime(p):

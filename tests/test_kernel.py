@@ -13,7 +13,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -254,6 +254,46 @@ def test_primitive_root_searched_once_per_prime_n(monkeypatch):
     assert least_primitive_root.cache_info().misses == 1
 
 
+def test_root_of_p_searched_once_for_every_n_it_divides(monkeypatch):
+    # 5 divides N = 15 and N = 35, whose phi(N) have the primes (2,) and (2, 3),
+    # and both towers need 5's root: the search is keyed on p - 1's primes.
+    asked = set()  # (D, p) for each root a tower of D asks for
+    monkeypatch.setattr(classnum, "least_primitive_root",
+                        lambda p, primes: asked.add((D, p)) or least_primitive_root(p, primes))
+    _clear_caches()
+    for D in (-15, -35):
+        disc = from_discriminant(D)
+        for base in _coprime_bases(disc.N):
+            h_theorem1(disc, base)
+    assert {(-15, 5), (-35, 5)} <= asked
+    assert least_primitive_root.cache_info().misses == len({p for _, p in asked})
+
+
+def test_tower_against_sympy_orders():
+    # What the tower alone now decides, against an oracle that shares none of
+    # it: e is B's order mod N, -1 is a power of B mod N exactly when
+    # B^(e/2) = -1, and the box holds one start per coset of <B, -1>.
+    from sympy import n_order, totient
+
+    kinds = set()
+    for disc in fundamentals_with_n_up_to(3000):
+        n = disc.N
+        phi = int(totient(n))
+        for base in [*BASES, 17, 67]:
+            if gcd(base, n) > 1:
+                continue
+            e, self_paired, box = classnum._tower(base, n, "")
+            order = n_order(base, n)
+            paired = order % 2 == 0 and pow(base, order // 2, n) == n - 1
+            assert (e, self_paired) == (order, paired), (n, base)
+            walks = phi // (order if paired else 2 * order)
+            assert prod(r for _, r in box) == walks, (n, base)
+            odd = len(distinct_prime_factors(n)) - (n % 2 == 0)  # odd primes of N
+            kinds.add("8 | N" if n % 8 == 0 else "4 || N" if n % 4 == 0 else "prime" if odd == 1
+                      else f"odd composite, W {'>' if walks > 1 else '='} 1")
+    assert kinds == {"8 | N", "4 || N", "prime", "odd composite, W = 1", "odd composite, W > 1"}
+
+
 # One (D, B) per branch of the walk: chi(2 mod 47) = +1 with order 23;
 # chi(5 mod 47) = -1 with 5^23 = -1; chi(2 mod 35) = -1 with order 12 and
 # 2^6 = 29, so -1 is no power of 2 mod 35.  Then walks over several classes:
@@ -264,8 +304,13 @@ BRANCHES = [(-47, 2), (-47, 5), (-35, 2), (-71, 5), (-103, 3), (-119, 2)]
 
 @pytest.mark.parametrize("wrong", [lambda e: e + 1, lambda e: 2 * e, lambda e: e - 1])
 def test_wrong_period_is_caught(monkeypatch, wrong):
-    real = classnum.multiplicative_order
-    monkeypatch.setattr(classnum, "multiplicative_order", lambda b, n: wrong(real(b, n)))
+    real = classnum._tower
+
+    def tower(*args):
+        e, self_paired, box = real(*args)
+        return wrong(e), self_paired, box
+
+    monkeypatch.setattr(classnum, "_tower", tower)
     for D, base in BRANCHES:
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}"):
             h_theorem1(from_discriminant(D), base)
@@ -275,14 +320,14 @@ def test_class_starts_are_one_per_class(monkeypatch):
     # The starts h_theorem1 walks from, against the all_cycles partition with
     # a cycle C and its reflection -C as one class: W starts in W classes.
     starts = []
-    real = classnum._class_starts
+    real = classnum._products
 
     def recording(*args):
         for x in real(*args):
             starts.append(x)
             yield x
 
-    monkeypatch.setattr(classnum, "_class_starts", recording)
+    monkeypatch.setattr(classnum, "_products", recording)
     kinds = set()  # the shapes of the N with more than one class; 3 stands for 3 or more
     for disc in fundamentals_with_n_up_to(3000):
         n = disc.N
@@ -346,11 +391,17 @@ def test_cycle_walk_holds_nothing_of_size_n():
 
 
 def test_doubled_period_needs_the_order_certificate(monkeypatch):
-    # 2 has order 24 mod 119 and phi(119) = 96 = 2 * 48, so a claimed period
-    # of 48 passes the class count, and the one walk from 1 closes.
-    real = classnum.multiplicative_order
-    monkeypatch.setattr(classnum, "multiplicative_order", lambda b, n: 2 * real(b, n))
-    with pytest.raises(InternalError, match=r"cycle\[B=2\] at D=-119: period 48 is not the order"):
+    # 2 has order 8 mod 17 and 24 mod 119 = 7 * 17.  A claimed order 16 mod 17
+    # makes the period 48, which divides phi(119) = 96 = 2 * 48 with one
+    # class, so the one walk from 1 would close: only the certificate is left.
+    real = classnum.order_within
+
+    def order_within(b, n, *rest):
+        o = real(b, n, *rest)
+        return 2 * o if (b, n) == (2, 17) else o
+
+    monkeypatch.setattr(classnum, "order_within", order_within)
+    with pytest.raises(InternalError, match=r"cycle\[B=2\] at D=-119: 16 is not the order of 2 mod 17"):
         h_theorem1(from_discriminant(-119), 2)
 
 
@@ -360,14 +411,22 @@ def test_doubled_period_needs_the_order_certificate(monkeypatch):
         # Claimed -1 = B^(e/2) where it is not:
         pytest.param(-15, 2, -1, r"with chi\(B\) = \+1", id="chi+1"),  # e = 4
         pytest.param(-35, 2, -1, "needs 6 odd", id="half-even"),  # chi(2) = -1, e = 12
-        pytest.param(-8, 5, -1, "did not close", id="no-reflection"),  # chi(5) = -1, e = 2
+        pytest.param(-8, 5, -1, "cycle count", id="no-reflection"),  # chi(5) = -1, e = 2
         # Denied -1 = B^(e/2) where it is:
         pytest.param(-47, 5, 1, "cycle count", id="missed-reflection"),  # chi(5) = -1, e = 46
     ],
 )
 def test_wrong_reflection_decision_is_caught(monkeypatch, D, base, power, message):
-    # classnum decides whether -1 is a power of B by pow(B, e/2, N) == N - 1.
-    monkeypatch.setattr(classnum, "pow", lambda b, k, n: power % n, raising=False)
+    # classnum._tower decides whether -1 is a power of B mod N; power = -1
+    # claims it is and power = 1 claims it is not, the reverse of the truth.
+    real = classnum._tower
+
+    def tower(*args):
+        e, self_paired, box = real(*args)
+        assert self_paired == (power == 1)
+        return e, not self_paired, box
+
+    monkeypatch.setattr(classnum, "_tower", tower)
     with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}: .*{message}"):
         h_theorem1(from_discriminant(D), base)
 
