@@ -108,12 +108,12 @@ def is_primitive_root(b: int, p: int) -> bool:
     return all(pow(b, (p - 1) // q, p) != 1 for q in phi_with_primes(p)[1])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1024)
 def least_primitive_root(p: int, primes: tuple[int, ...] | None = None) -> int:
     """Smallest positive primitive root of the odd prime p; cached, one search per p.
     Given primes, which must be exactly the distinct primes of p - 1, ascending, p is
     taken as prime and nothing is factored: classnum._tower passes the primes of phi(N)
-    that divide p - 1, so every N that p divides shares the one cache entry."""
+    that divide p - 1, so every N that p divides shares one entry (-5000..-5 needs 374)."""
     if primes is None:
         if not is_prime(p) or p == 2:
             raise ValueError(f"need an odd prime, got {p}")

@@ -15,9 +15,10 @@ built once per D.  The cycle route walks the orbits of x -> Bx mod N over
 it in place (h_theorem1), with long division over only half of the
 residues: the reflection x -> N - x negates chi and complements every
 digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
-(Midy's theorem, generalised).  At B = 2, 4, 8 and 10 a long walk is one
-big quotient floor(B^w x/N), its signed digit sum read by popcounts; any
-other walk steps, dividing in base B^k and reading the signed sum of each k
+(Midy's theorem, generalised).  At B = 2, 4, 8 and 10 one division Q =
+(B^w -/+ 1)/N gives every walk of a (D, B), the digits from x those of x Q
+(less 1 when B^w = -1) packed into slots and summed by popcounts; any other
+walk steps, dividing in base B^k and reading the signed sum of each k
 base-B digits from a table.  The classes are the cosets of <B, -1> in the
 units mod N; the walks start at products of the generators of a chain of
 cyclic kernels, one factor of N at a time (the powers of a primitive root
@@ -34,7 +35,7 @@ failure raises InternalError because the identities admit no exceptions.
 """
 
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, Context, Decimal, DecimalException, Inexact, InvalidOperation, Rounded
+from decimal import MAX_EMAX, Context, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -44,7 +45,6 @@ from .arith import (
     is_prime,
     is_primitive_root,
     least_primitive_root,
-    multiplicative_order,
     order_within,
     phi_with_primes,
 )
@@ -90,12 +90,6 @@ __all__ = [
 # The largest block B^k of digits that one long-division step of h_theorem1
 # emits: its digit-sum tables hold at most this many entries per (B, chi(B)).
 MAX_BLOCK = 4096
-
-# The fewest long-division steps a walk takes before h_theorem1 replaces them
-# with one quotient at B = 2, 4, 8 and 10.  The quotient's fixed cost per walk
-# is about 1 us in binary and 3 us in decimal (2-core Xeon, CPython 3.11),
-# some 8 and 25 steps; a walk of 16 steps comes out near even in both.
-MIN_QUOTIENT_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -235,62 +229,62 @@ def _products(n: int, box: list[tuple[int, int]]):
     return starts
 
 
-def _radix_walk(base: int, n: int, w: int, s: int, where: str):
-    """x -> (t, y_w) for a walk of w digits from x in one division, at B = 2, 4, 8 or 10.
+def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int, list[int]],
+               where: str) -> int:
+    """sum chi(x) t_x over the walks of w digits from the starts x, from one division.
 
-    None at any other base.  The digits are those of A = floor(B^w x/N), w
-    of them with leading zeros, and t = sum_{i<w} s^i a(y_i) signs the one
-    j places from the bottom by s^(w-1-j).  Each digit sits in the low bits
-    of a slot: A itself in m-bit slots at B = 2^m, or the ASCII bytes of
-    decimal A, whose low nibbles are the digits.  One repunit mask with a
-    bit at the bottom of every slot (of every other slot when s = -1) picks
-    bit b of each digit from A >> b, so t is m (2m) popcounts.  The mask is
-    the only one kept: A is shifted once per popcount, but bit 0 is read
-    from A itself (A >> 0 is a copy in CPython).  At B = 2 with s = +1 the
-    mask would be all ones, so t is A's popcount and no mask is built.  The
-    decimal context holds the w digits of A and the digits of x < N, its
-    Emax the exponent of x B^w, and it traps any rounding, so A is exact or
-    the walk raises InternalError.
+    groups maps chi(x) to its starts; B is 2, 4 or 8 (m bits a digit) or 10.
+    With c = -1 when paired and +1 otherwise, the walks close, B^w = c (mod
+    N), exactly when Q = (B^w - c)/N is whole.  Walk x then ends at y = c x,
+    and its w digits, leading zeros included, are those of (B^w x - y)/N =
+    x Q - [c = -1]; t_x signs the digit i places from the bottom by s^(w-1-i).
+    Each group's digits fill the slots of one int: fixed-width bytes in
+    binary, and in decimal zero-padded digit strings read as hex, a 4-bit
+    nibble a digit.  A slot is whole mask periods, so one repunit mask with a
+    bit at the bottom of every digit (every other one when s = -1) picks bit b
+    of all of them from A >> b (bit 0 from A itself: A >> 0 is a copy), and
+    the sum is m (2m) popcounts, or A's popcount at B = 2 with s = +1.  The
+    decimal context holds the w digits of B^w - 1 (w + 1 of B^w + 1), its
+    Emax their exponent, and traps any rounding.  A remainder or a decimal
+    signal raises InternalError.
     """
-    if base == 10:
-        width, bits = 8, 4
-        traps = [Inexact, Rounded, InvalidOperation]
-        ctx = Context(prec=w + len(str(n)), Emax=MAX_EMAX, traps=traps)
-
-        def divide(x):
-            try:
-                a, y = ctx.divmod(ctx.scaleb(Decimal(x), w), n)
-            except DecimalException as exc:
-                raise InternalError(f"{where}: decimal {exc!r} at x = {x}") from exc
-            return int.from_bytes(str(a).encode(), "big"), int(y)
-
-    elif base in (2, 4, 8):
-        width = bits = base.bit_length() - 1
-        shift = width * w
-
-        def divide(x):
-            return divmod(x << shift, n)
-
-    else:
-        return None
+    c = -1 if paired else 1
+    width = 4 if base == 10 else base.bit_length() - 1  # bits a digit
     period = width if s == 1 else 2 * width  # from one mask bit to the next
-    if period == 1:
-        def walk(x):
-            v, y = divide(x)
-            return v.bit_count(), y
+    unit = lcm(8, period)  # whole bytes of whole periods
+    size = -(-w * width // unit) * unit // width  # digits a slot
+    try:
+        if base == 10:
+            ctx = Context(prec=w + paired, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
+            q, r = ctx.divmod(ctx.subtract(ctx.scaleb(1, w), c), n)
 
-        return walk
-    ones = ((1 << period * -(-w * width // period)) - 1) // ((1 << period) - 1)  # over w slots
+            def pack(xs):
+                return int.from_bytes(bytes.fromhex("".join(
+                    str(ctx.subtract(ctx.multiply(q, x), paired)).zfill(size) for x in xs)), "big")
+        else:
+            q, r = divmod((1 << width * w) - c, n)
 
-    def walk(x):
-        v, y = divide(x)
-        t = sum(((v >> b if b else v) & ones).bit_count() << b for b in range(bits))
-        if s == -1:
-            odd = sum(((v >> (width + b)) & ones).bit_count() << b for b in range(bits))
-            t = t - odd if w % 2 else odd - t
-        return t, y
+            def pack(xs):
+                return int.from_bytes(
+                    b"".join((x * q - paired).to_bytes(size * width // 8, "big") for x in xs), "big")
 
-    return walk
+        if r:
+            raise InternalError(f"{where}: the orbits do not close, {base}^{w} - {c} leaves {r} (mod {n})")
+        if period > 1:
+            run = (((1 << unit) - 1) // ((1 << period) - 1)).to_bytes(unit // 8, "big")
+            ones = int.from_bytes(run * (max(map(len, groups.values())) * size * width // unit), "big")
+        total = 0
+        for chi, xs in groups.items():
+            a = pack(xs)
+            t = a.bit_count() if period == 1 else sum(
+                ((a >> b if b else a) & ones).bit_count() << b for b in range(width))
+            if s == -1:
+                odd = sum(((a >> (width + b)) & ones).bit_count() << b for b in range(width))
+                t = t - odd if w % 2 else odd - t
+            total += chi * t
+    except DecimalException as exc:
+        raise InternalError(f"{where}: decimal {exc!r}") from exc
+    return total
 
 
 def h_theorem1(disc: Discriminant, base: int) -> HResult:
@@ -344,11 +338,12 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     chi(B) = -1, so every block starts on the sign +1.  The steps % k
     digits left over (all of them when no table fits) go one at a time.
 
-    One quotient per walk.  The same unrolling with k = w makes a walk one
-    division, A = floor(B^w x/N) with remainder y_w, the closure point.
-    B = 2, 4 and 8 have a C radix in the binary int and 10 in decimal, so
-    _radix_walk reads the signed digit sum of A there through bit masks, on
-    every walk of MIN_QUOTIENT_STEPS steps or more.  Every other walk steps.
+    One division per (D, B).  With k = w the unrolling gives a walk's digits
+    as A = floor(B^w x/N), and B^w = c (mod N), c = -1 when -C = C and +1
+    otherwise, so A = x Q - [c = -1] with Q = (B^w - c)/N for every walk.
+    B = 2, 4 and 8 have a C radix in the binary int and 10 in decimal, where
+    _radix_sum packs the A into slots and reads their signed digit sums
+    through bit masks.  Every walk at any other base steps.
 
     One start per class.  A walk of w steps covers a class C u -C (C alone
     when -C = C) of 2w units, so there are W = phi(N)/(2w) classes: the
@@ -376,9 +371,10 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     H(i)/H(i-1) (the kernel's part in H mod M_(i-1) has order k_i/r_i);
     chi(B) = -1 needs e even; -1 a power of B needs chi(B) = -1 and e/2
     odd; phi(N) = 2w prod_i r_i (the cycle count), so the W starts cover
-    every unit once; each walk lands on x (on N - x when -C = C); the
-    division is exact with a positive quotient; a decimal signal (the
-    context is exact or it traps).
+    every unit once; every walk closes: each stepped one lands on x (on
+    N - x when -C = C), and at a radix base Q's division leaves no
+    remainder; the final division is exact with a positive quotient; a
+    decimal signal (the context is exact or it traps).
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -400,17 +396,19 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         walks *= r
     if phi_with_primes(n)[0] != 2 * steps * walks:
         raise InternalError(f"{where}: cycle count phi({n}) is not 2 * {steps} * {walks}")
-    k, tab = _digit_table(base, s)
-    bk = base**k
-    blocks, rest = divmod(steps, k) if k else (0, steps)
     sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
-    long_walk = blocks + rest >= MIN_QUOTIENT_STEPS
-    quotient = _radix_walk(base, n, steps, s, where) if long_walk else None
-    raw = 0
-    for x in _products(n, box):
-        if quotient is not None:
-            t, y = quotient(x)
-        else:
+    if base in (2, 4, 8, 10):  # a C radix: one division for every walk
+        groups = {1: [], -1: []}
+        for x in _products(n, box):
+            groups[vals[x]].append(x)
+        raw = (base - 1) * sign_sum * (len(groups[1]) - len(groups[-1]))
+        raw -= 2 * _radix_sum(base, n, steps, s, self_paired, groups, where)
+    else:
+        raw = 0
+        k, tab = _digit_table(base, s)
+        bk = base**k
+        blocks, rest = divmod(steps, k) if k else (0, steps)
+        for x in _products(n, box):
             y = x
             t = 0
             for _ in range(blocks):
@@ -423,9 +421,9 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
                 t += sg * (y // n)
                 y %= n
                 sg *= s
-        if y != (n - x if self_paired else x):
-            raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
-        raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
+            if y != (n - x if self_paired else x):
+                raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
+            raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
     return _exact_h(disc, raw, base - s, f"cycle[B={base}]", raw)
 
 
@@ -484,10 +482,10 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     cycle, so (B+1) h is the alternating digit sum of the period of 1/p.
     With no base given the least primitive root is used.  That cycle is the
     one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
-    walk covers (p - 1)/2 digits, in one quotient at B = 2, 8 or 10 once
-    they take MIN_QUOTIENT_STEPS steps and k per step otherwise, the
-    reflection supplies the other digits, and with one class its start
-    comes from a one-step tower that searches no root.
+    walk covers (p - 1)/2 digits, read off (B^((p-1)/2) + 1)/p at B = 2, 8 or
+    10 and k per step otherwise, the reflection supplies the other digits,
+    and with one class its start comes from a one-step tower that searches
+    no root and certifies the period, so B's order is not found again here.
     """
     check_size(p)
     if not is_prime(p):
@@ -500,11 +498,7 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
         base = least_primitive_root(p)
     elif base < 2 or not is_primitive_root(base, p):
         raise ValueError(f"B={base} is not a primitive root mod {p}")
-    disc = from_discriminant(-p)
-    e = multiplicative_order(base, p)
-    if e != p - 1:
-        raise InternalError(f"primitive root {base} mod {p} gave period {e}")
-    return replace(h_theorem1(disc, base), method=f"girstmair[B={base}]")
+    return replace(h_theorem1(from_discriminant(-p), base), method=f"girstmair[B={base}]")
 
 
 def xi(x: int, n: int) -> int:

@@ -269,6 +269,35 @@ def test_root_of_p_searched_once_for_every_n_it_divides(monkeypatch):
     assert least_primitive_root.cache_info().misses == len({p for _, p in asked})
 
 
+def test_root_cache_keeps_every_prime_of_a_sweep(monkeypatch):
+    # A sweep down to -1200 walks towers that need the roots of more primes
+    # than 64, revisiting each p at every N it divides: each is searched once.
+    asked = set()
+    monkeypatch.setattr(classnum, "least_primitive_root",
+                        lambda p, primes: asked.add(p) or least_primitive_root(p, primes))
+    _clear_caches()
+    for disc in fundamentals_with_n_up_to(1200):
+        for base in _coprime_bases(disc.N):
+            h_theorem1(disc, base)
+    assert len(asked) > 64
+    assert least_primitive_root.cache_info().misses == len(asked)
+
+
+def test_girstmair_works_out_each_order_once(monkeypatch):
+    # least_primitive_root has shown that B generates, and the tower inside
+    # h_theorem1 certifies the period: B's order mod p is found once, there.
+    calls = []
+    for module in (arith, classnum):
+        monkeypatch.setattr(module, "order_within",
+                            lambda *args, real=module.order_within: calls.append(args) or real(*args))
+    _clear_caches()
+    primes = [p for p in range(7, 8000, 4) if is_prime(p)]
+    for p in primes:
+        h_girstmair(p)
+    assert len(primes) == 506
+    assert len(calls) == len(primes)
+
+
 def test_tower_against_sympy_orders():
     # What the tower alone now decides, against an oracle that shares none of
     # it: e is B's order mod N, -1 is a power of B mod N exactly when

@@ -1,15 +1,16 @@
-"""One quotient per walk at B = 2, 4, 8 and 10, and the class starts.
+"""One division per (D, B) at B = 2, 4, 8 and 10, and the class starts.
 
-h_theorem1 reads a walk off one quotient floor(B^w x/N) where B has a C
-radix (classnum._radix_walk), and starts its walks at products of kernel
-generators (the powers of a primitive root for prime N) instead of scanning
-marks.  Each is diffed here against routes that share none of that code:
-per-digit long division, the per-cycle reference h_cycle_contribution over
-all_cycles, and raw_sum = (B - chi(B)) h with h from h_dirichlet.  Walks
-shorter than MIN_QUOTIENT_STEPS step instead, so every diff also runs with
-that bound at 0, where every walk is a quotient.
+h_theorem1 reads every walk of a (D, B) at a radix base off one quotient
+Q = (B^w - c)/N, with B^w = c = +/-1 (mod N): the walk from x has the digits
+of x Q - [c = -1], packed into the slots of one int per sign of chi(x)
+(classnum._radix_sum).  It starts its walks at products of kernel generators
+(the powers of a primitive root for prime N) instead of scanning marks.  Each
+is diffed here against routes that share none of that code: per-digit long
+division, the per-cycle reference h_cycle_contribution over all_cycles, and
+raw_sum = (B - chi(B)) h with h from h_dirichlet.
 """
 
+import builtins
 import decimal
 from fractions import Fraction
 from math import gcd
@@ -34,29 +35,45 @@ from quadclass.verify import verify_discriminant
 from helpers import fundamentals_with_n_up_to
 
 RADIX_BASES = (2, 4, 8, 10)
-MIN_STEPS = (0, classnum.MIN_QUOTIENT_STEPS)
 
 
-def _count_quotients(monkeypatch):
-    """A list that gets one counter per quotient walker h_theorem1 makes; the
-    counter's one entry is how many walks that walker took."""
+def _count_divisions(monkeypatch):
+    """A list that gets one entry per _radix_sum call: how many divisions it made.
+
+    Every division by N in _radix_sum is a divmod, the builtin in binary and
+    Context.divmod in decimal; both are counted while it runs.  The digit
+    tables of the stepped walk must not be asked for at a radix base."""
     made = []
-    real = classnum._radix_walk
+    inside = []
+    real_sum = classnum._radix_sum
+    real_table = classnum._digit_table
 
-    def radix_walk(*args):
-        walk = real(*args)
-        if walk is None:
-            return None
-        made.append([0])
-        calls = made[-1]
+    def counting(a, b):
+        if inside:
+            made[-1] += 1
+        return builtins.divmod(a, b)
 
-        def counted(x):
-            calls[0] += 1
-            return walk(x)
+    class Context(decimal.Context):
+        def divmod(self, a, b):
+            made[-1] += 1
+            return super().divmod(a, b)
 
-        return counted
+    def radix_sum(*args):
+        made.append(0)
+        inside.append(True)
+        try:
+            return real_sum(*args)
+        finally:
+            inside.clear()
 
-    monkeypatch.setattr(classnum, "_radix_walk", radix_walk)
+    def digit_table(base, s):
+        assert base not in RADIX_BASES, base
+        return real_table(base, s)
+
+    monkeypatch.setattr(classnum, "_radix_sum", radix_sum)
+    monkeypatch.setattr(classnum, "divmod", counting, raising=False)
+    monkeypatch.setattr(classnum, "Context", Context)
+    monkeypatch.setattr(classnum, "_digit_table", digit_table)
     return made
 
 
@@ -66,24 +83,48 @@ def _walks(disc, base, cycles):
     return (len(cycles) if self_paired else len(cycles) // 2), self_paired
 
 
+def _closing_lengths(base, n):
+    """(w, paired) with B^w = -1 (mod N) when paired and +1 otherwise, some of each
+    that exist: the order e, its multiples, and the odd multiples of e/2 when
+    B^(e/2) = -1."""
+    e = multiplicative_order(base, n)
+    out = [(e, False), (2 * e, False), (3 * e, False)]
+    if e % 2 == 0 and pow(base, e // 2, n) == n - 1:
+        out += [(e // 2, True), (3 * e // 2, True)]
+    return out
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("base", RADIX_BASES)
 def test_radix_walk_matches_long_division(base, sign):
-    n = 1009
-    for w in (1, 2, 3, 7, 8, 40, 41, 400):
-        walk = classnum._radix_walk(base, n, w, sign, "test")
-        for x in (1, 2, 500, 1008):
-            y, want = x, 0
-            for i in range(w):
-                d, y = divmod(base * y, n)
-                want += sign**i * d
-            assert walk(x) == (want, y), (base, sign, w, x)
-    assert classnum._radix_walk(3, n, 5, 1, "test") is None
+    # Any units, split into any two groups: the digits are plain arithmetic.
+    for n in (7, 11, 13, 101, 1009, 1019, 9091):
+        if gcd(base, n) > 1:
+            continue
+        xs = [x for x in (1, 2, 5, 500, n // 2, n - 2, n - 1) if 0 < x < n and gcd(x, n) == 1]
+        groups = {1: xs[::2], -1: xs[1::2]}
+        for w, paired in _closing_lengths(base, n):
+            want = 0
+            for chi, starts in groups.items():
+                for x in starts:
+                    y, t = x, 0
+                    for i in range(w):
+                        d, y = divmod(base * y, n)
+                        t += sign**i * d
+                    assert y == (n - x if paired else x)
+                    want += chi * t
+            got = classnum._radix_sum(base, n, w, sign, paired, groups, "test")
+            assert got == want, (n, base, sign, w, paired)
+        # A length that does not close the orbits leaves a remainder.
+        e = multiplicative_order(base, n)
+        if e > 1:
+            with pytest.raises(InternalError, match=r"test: the orbits do not close"):
+                classnum._radix_sum(base, n, e - 1, sign, False, groups, "test")
 
 
 def test_quotient_walks_match_cycle_contributions(monkeypatch):
-    made = _count_quotients(monkeypatch)
-    shapes = set()  # (kind of N, chi(B), whether -C = C) of the walks taken by quotient
+    made = _count_divisions(monkeypatch)
+    shapes = set()  # (kind of N, chi(B), whether -C = C) of the radix (D, B)
     for disc in fundamentals_with_n_up_to(2000):
         char = quad_char(disc)
         h = h_dirichlet(disc).h
@@ -94,23 +135,17 @@ def test_quotient_walks_match_cycle_contributions(monkeypatch):
             total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
             s = char.eval(base)
             walks, self_paired = _walks(disc, base, cycles)
-            for min_steps in MIN_STEPS:
-                monkeypatch.setattr(classnum, "MIN_QUOTIENT_STEPS", min_steps)
-                made.clear()
-                got = h_theorem1(disc, base)
-                assert got.raw_sum == total * (base - s) == h * (base - s), (disc.D, base)
-                quotients = sum(calls for (calls,) in made)
-                if walks == 1:
-                    kind = "W = 1"
-                elif is_prime(disc.N):
-                    kind = "W > 1, N prime"
-                else:
-                    kind = "W > 1, N composite"
-                if min_steps == 0:
-                    assert quotients == walks, (disc.D, base)  # no walk marks, so each is a quotient
-                    shapes.add((kind, s, self_paired))
-                else:
-                    assert quotients in (0, walks), (disc.D, base)
+            made.clear()
+            got = h_theorem1(disc, base)
+            assert got.raw_sum == total * (base - s) == h * (base - s), (disc.D, base)
+            assert len(made) == 1 and 1 <= made[0] <= 2, (disc.D, base, made)
+            if walks == 1:
+                kind = "W = 1"
+            elif is_prime(disc.N):
+                kind = "W > 1, N prime"
+            else:
+                kind = "W > 1, N composite"
+            shapes.add((kind, s, self_paired))
     signs = ((1, False), (-1, False), (-1, True))
     assert shapes == {
         (kind, s, self_paired)
@@ -121,18 +156,16 @@ def test_quotient_walks_match_cycle_contributions(monkeypatch):
     }
 
 
-def test_girstmair_primes_at_the_radix_bases(monkeypatch):
+def test_girstmair_primes_at_the_radix_bases():
     for p in filter(is_prime, range(7, 2000, 4)):  # the primes 3 (mod 4), p > 3
         disc = from_discriminant(-p)
         h = h_dirichlet(disc).h
         for base in RADIX_BASES:
             want = (base - quad_char(disc).eval(base)) * h
-            for min_steps in MIN_STEPS:
-                monkeypatch.setattr(classnum, "MIN_QUOTIENT_STEPS", min_steps)
-                assert h_theorem1(disc, base).raw_sum == want, (p, base)
-                if is_primitive_root(base, p):
-                    period = expand(1, base, p).digits
-                    assert h_girstmair(p, base).raw_sum == alternating_digit_sum(period), (p, base)
+            assert h_theorem1(disc, base).raw_sum == want, (p, base)
+            if is_primitive_root(base, p):
+                period = expand(1, base, p).digits
+                assert h_girstmair(p, base).raw_sum == alternating_digit_sum(period), (p, base)
 
 
 @pytest.mark.parametrize(
@@ -140,6 +173,7 @@ def test_girstmair_primes_at_the_radix_bases(monkeypatch):
     [
         (8191, 2, 315),  # 2^13 = 1: W = 8190 / 26
         (131071, 2, 3855),  # 2^17 = 1: W = 131070 / 34
+        (524287, 2, 13797),  # 2^19 = 1: W = 524286 / 38
         (9091, 10, 909),  # 10^5 = -1, so -C = C: W = 9090 / 10 walks of 5 digits
     ],
 )
@@ -151,13 +185,10 @@ def test_small_order_primes(monkeypatch, N, base, walks):
     total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
     want = (base - char.eval(base)) * h_dirichlet(disc).h
     assert total * (base - char.eval(base)) == want
-    made = _count_quotients(monkeypatch)
-    for min_steps in MIN_STEPS:
-        monkeypatch.setattr(classnum, "MIN_QUOTIENT_STEPS", min_steps)
-        made.clear()
-        assert h_theorem1(disc, base).raw_sum == want, min_steps
-        # Each walk is a few steps long: it steps unless the bound is 0.
-        assert sum(calls for (calls,) in made) == (walks if min_steps == 0 else 0)
+    made = _count_divisions(monkeypatch)
+    assert h_theorem1(disc, base).raw_sum == want
+    # Thousands of walks a few digits long, and still at most two divisions.
+    assert len(made) == 1 and 1 <= made[0] <= 2, made
 
 
 @pytest.mark.parametrize(
@@ -187,15 +218,18 @@ def test_start_certificate(monkeypatch, D, base, power, bad):
 
 def test_decimal_context_one_digit_short_is_an_internal_error(monkeypatch):
     # 10 is a primitive root mod 1019 with 10^509 = -1: one walk of 509
-    # digits from 1, whose quotient floor(10^509 / 1019) has 506.
+    # digits from 1, read off Q = (10^509 + 1) / 1019.  The context must hold
+    # the 510 digits of 10^509 + 1, and that is all it is given.
     disc = from_discriminant(-1019)
-    digits = len(str(10**509 // 1019))
+    digits = len(str(10**509 + 1))
     want = (10 - quad_char(disc).eval(10)) * h_dirichlet(disc).h
     real = decimal.Context
-    monkeypatch.setattr(classnum, "Context", lambda **kw: real(**{**kw, "prec": digits}))
+    asked = []
+    monkeypatch.setattr(classnum, "Context", lambda **kw: asked.append(kw["prec"]) or real(**kw))
     assert h_theorem1(disc, 10).raw_sum == want
+    assert asked == [digits]
     monkeypatch.setattr(classnum, "Context", lambda **kw: real(**{**kw, "prec": digits - 1}))
-    with pytest.raises(InternalError, match=r"cycle\[B=10\] at D=-1019: decimal .*InvalidOperation"):
+    with pytest.raises(InternalError, match=r"cycle\[B=10\] at D=-1019: decimal .*Inexact"):
         h_theorem1(disc, 10)
     record = verify_discriminant(-1019)
     assert not record.passed
@@ -204,7 +238,7 @@ def test_decimal_context_one_digit_short_is_an_internal_error(monkeypatch):
 
 def test_base_10_walk_longer_than_the_default_emax():
     # chi(10) = +1 and 10 has order w = 1666665 mod 9999991: W = 3 walks of
-    # w digits each, so x 10^w needs an exponent past decimal's default Emax.
+    # w digits each, so 10^w - 1 needs an exponent past decimal's default Emax.
     disc = from_discriminant(-9999991)
     w = multiplicative_order(10, disc.N)
     assert w == 1666665 > decimal.DefaultContext.Emax
