@@ -155,16 +155,14 @@ def h_cycle_contribution(period: ExpansionPeriod, char: QuadChar) -> Fraction:
 def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...]]:
     """(k, tab): k base-B digits per block, tab[A] their sum signed by s^j.
 
-    k is the largest with B^k <= MAX_BLOCK, made even when s = -1 so that
-    every block starts on the sign +1; tab[A] = sum_j s^j d_j over the k
-    base-B digits d_0 d_1 ... d_(k-1) of A, most significant first.  k = 0
-    when no block fits: B > MAX_BLOCK, or B^2 > MAX_BLOCK with s = -1.
+    k is the largest with B^k <= MAX_BLOCK, at either sign; tab[A] =
+    sum_j s^j d_j over the k base-B digits d_0 d_1 ... d_(k-1) of A, most
+    significant first, so a block that starts on the sign s^k = -1 (s = -1,
+    k odd) adds -tab[A].  k = 0 when no block fits: B > MAX_BLOCK.
     """
     k = 0
     while base ** (k + 1) <= MAX_BLOCK:
         k += 1
-    if s == -1:
-        k -= k % 2
     tab = [0]
     for j in range(k):
         sg = s**j
@@ -239,11 +237,12 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
     and its w digits, leading zeros included, are those of (B^w x - y)/N =
     x Q - [c = -1]; t_x signs the digit i places from the bottom by s^(w-1-i).
     Each group's digits fill the slots of one int: fixed-width bytes in
-    binary, and in decimal zero-padded digit strings read as hex, a 4-bit
-    nibble a digit.  A slot is whole mask periods, so one repunit mask with a
-    bit at the bottom of every digit (every other one when s = -1) picks bit b
-    of all of them from A >> b (bit 0 from A itself: A >> 0 is a copy), and
-    the sum is m (2m) popcounts, or A's popcount at B = 2 with s = +1.  The
+    binary (a lone start's x Q - [c = -1] as it is), and in decimal
+    zero-padded digit strings read as hex, a 4-bit nibble a digit.  A slot
+    is whole mask periods, so one repunit mask with a bit at the bottom of
+    every digit (every other one when s = -1) picks bit b of all of them
+    from A >> b (bit 0 from A itself: A >> 0 is a copy), and the sum is m
+    (2m) popcounts, or A's popcount at B = 2 with s = +1.  The
     decimal context holds the w digits of B^w - 1 (w + 1 of B^w + 1), its
     Emax their exponent, and traps any rounding.  A remainder or a decimal
     signal raises InternalError.
@@ -265,6 +264,8 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
             q, r = divmod((1 << width * w) - c, n)
 
             def pack(xs):
+                if len(xs) == 1:
+                    return xs[0] * q - paired
                 return int.from_bytes(
                     b"".join((x * q - paired).to_bytes(size * width // 8, "big") for x in xs), "big")
 
@@ -334,9 +335,12 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     B y_i - a(y_i) N gives B^k y = N sum_{j<k} a(y_j) B^(k-1-j) + y_k with
     0 <= y_k < N, so A = sum_{j<k} a(y_j) B^(k-1-j): the k base-B digits of
     A, most significant first, are the next k digits of the expansion, and
-    one step adds their signed sum, read from _digit_table.  k is even when
-    chi(B) = -1, so every block starts on the sign +1.  The steps % k
-    digits left over (all of them when no table fits) go one at a time.
+    one step adds their signed sum, read from _digit_table.  k is the most
+    that fits at either sign, so when chi(B) = -1 and k is odd the blocks
+    start on the signs +1, -1, +1, ...: two blocks per pass, the first
+    summed into t and the second into u, a last odd block into t, and then
+    t + chi(B)^k u.  The steps % k digits left over (all of them when no
+    table fits) go one at a time from the sign chi(B)^(k blocks).
 
     One division per (D, B).  With k = w the unrolling gives a walk's digits
     as A = floor(B^w x/N), and B^w = c (mod N), c = -1 when -C = C and +1
@@ -406,16 +410,26 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     else:
         raw = 0
         k, tab = _digit_table(base, s)
-        bk = base**k
+        bk, sk = base**k, s**k  # sk: the sign each odd-numbered block starts on
         blocks, rest = divmod(steps, k) if k else (0, steps)
+        pairs, odd = divmod(blocks, 2)
+        start = s ** (k * blocks)  # the sign of the first digit left over
         for x in _products(n, box):
             y = x
-            t = 0
-            for _ in range(blocks):
+            t = u = 0
+            for _ in range(pairs):
                 y *= bk
                 t += tab[y // n]
                 y %= n
-            sg = 1
+                y *= bk
+                u += tab[y // n]
+                y %= n
+            if odd:
+                y *= bk
+                t += tab[y // n]
+                y %= n
+            t += sk * u
+            sg = start
             for _ in range(rest):
                 y *= base
                 t += sg * (y // n)

@@ -276,9 +276,12 @@ def _legendre_row(p: int) -> array:
     """(x / p) for x in [0, p): +1 on the nonzero squares, -1 elsewhere, 0 at 0."""
     row = array("b", [-1]) * p
     with memoryview(row).cast("B") as view:  # cheaper stores than the array's
-        view[0] = 0
-        for i in range(1, (p + 1) // 2):
-            view[i * i % p] = 1
+        view[0] = sq = 0
+        for odd in range(1, p, 2):  # i^2 = (i - 1)^2 + 2i - 1, reduced mod p
+            sq += odd
+            if sq >= p:
+                sq -= p
+            view[sq] = 1
     return row
 
 

@@ -100,8 +100,9 @@ def test_orbit_walk_matches_cycle_contributions():
 
 
 def test_orbit_walk_without_digit_tables():
-    # B^2 > MAX_BLOCK: with chi(B) = -1 no block of an even k digits fits, and
-    # B = 4099 > MAX_BLOCK fits none at all, so those walks run digit by digit.
+    # B^2 > MAX_BLOCK: B = 67 and 101 step one digit a block at either sign,
+    # and B = 4099 > MAX_BLOCK fits no block at all, so only its walks run
+    # digit by digit.
     kinds = set()
     for disc in fundamentals_with_n_up_to(500):
         char = quad_char(disc)
@@ -112,8 +113,51 @@ def test_orbit_walk_without_digit_tables():
             total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
             assert h_theorem1(disc, base).raw_sum == total * (base - char.eval(base)), (disc.D, base)
             walks, _, k = _walk_shape(disc, base, cycles)
+            assert k == (base < 4099), (disc.D, base)
             kinds.add((char.eval(base), k, walks > 1))
-    assert {(1, 1, True), (-1, 0, True), (1, 0, True), (-1, 0, False)} <= kinds
+    assert {(1, 1, True), (-1, 1, True), (1, 0, True), (-1, 0, True), (-1, 0, False)} <= kinds
+
+
+def _odd_block_walk(disc, base, h):
+    """Check h_theorem1 at chi(B) = -1 and odd k; return the walk's shape."""
+    char = quad_char(disc)
+    cycles = all_cycles(base, disc.N).cycles
+    total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
+    assert h_theorem1(disc, base).raw_sum == total * (base + 1) == h * (base + 1), (disc.D, base)
+    walks, steps, k = _walk_shape(disc, base, cycles)
+    assert k % 2 == 1, (base, k)
+    blocks, rest = divmod(steps, k)
+    return (
+        "no block" if blocks == 0 else f"blocks {('even', 'odd')[blocks % 2]}",
+        "rest > 0" if rest else "rest = 0",
+        "W = 1" if walks == 1 else "W > 1",
+        "-C = C" if disc.N - 1 in next(c for c in cycles if 1 in c.cycle).cycle else "-C != C",
+    )
+
+
+def test_odd_blocks_at_chi_minus_one_match_cycle_contributions():
+    # k = 7, 5, 3, 3 and 3 digits a block: with chi(B) = -1 the blocks start
+    # on the signs +1, -1, +1, ..., and the digits left over on (-1)^(k blocks).
+    shapes = set()
+    for disc in fundamentals_with_n_up_to(2000):
+        h = h_dirichlet(disc).h
+        for base in (3, 5, 11, 12, 13):
+            if gcd(base, disc.N) == 1 and quad_char(disc).eval(base) == -1:
+                shapes.add(_odd_block_walk(disc, base, h))
+    for i, kinds in enumerate([
+        {"no block", "blocks even", "blocks odd"},
+        {"rest = 0", "rest > 0"},
+        {"W = 1", "W > 1"},
+        {"-C = C", "-C != C"},
+    ]):
+        assert {shape[i] for shape in shapes} == kinds
+    # D = -300007: one walk of 50 001 blocks at B = 11, seven of 7 143 at
+    # B = 13, and nine of 5 555 blocks and 2 digits at B = 12.
+    disc = from_discriminant(-300007)
+    h = h_dirichlet(disc).h
+    assert _odd_block_walk(disc, 11, h) == ("blocks odd", "rest = 0", "W = 1", "-C = C")
+    assert _odd_block_walk(disc, 12, h) == ("blocks odd", "rest > 0", "W > 1", "-C = C")
+    assert _odd_block_walk(disc, 13, h) == ("blocks odd", "rest = 0", "W > 1", "-C = C")
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -121,8 +165,7 @@ def test_orbit_walk_without_digit_tables():
 def test_digit_tables_match_long_division(base, sign):
     k, tab = classnum._digit_table(base, sign)
     bk = base**k
-    assert k % 2 == 0 or sign == 1
-    assert len(tab) == bk <= classnum.MAX_BLOCK < bk * base ** (1 if sign == 1 else 2)
+    assert len(tab) == bk <= classnum.MAX_BLOCK < bk * base
     # Entry A is the signed digit sum of A / B^k, found one digit at a time.
     for a, total in enumerate(tab):
         y, want = a, 0

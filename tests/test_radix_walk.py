@@ -168,6 +168,36 @@ def test_girstmair_primes_at_the_radix_bases():
                 assert h_girstmair(p, base).raw_sum == alternating_digit_sum(period), (p, base)
 
 
+def test_lone_groups_at_the_girstmair_primes(monkeypatch):
+    # A chi group of one start is packed as its own x Q - [c = -1]: the one
+    # walk of a primitive root B, or the lone chi(x) = -1 start when W = 3.
+    real = classnum._radix_sum
+    sizes = []
+
+    def radix_sum(base, n, w, s, paired, groups, where):
+        sizes.append((len(groups[1]), len(groups[-1])))
+        return real(base, n, w, s, paired, groups, where)
+
+    monkeypatch.setattr(classnum, "_radix_sum", radix_sum)
+    seen = set()
+    for p in filter(is_prime, range(7, 8000, 4)):  # the girstmair primes
+        disc = from_discriminant(-p)
+        char = quad_char(disc)
+        for base in (2, 8):
+            cycles = all_cycles(base, p).cycles
+            total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
+            sizes.clear()
+            assert h_theorem1(disc, base).raw_sum == total * (base - char.eval(base)), (p, base)
+            if sizes[0] == (1, 0):
+                seen.add((base, "one start"))
+            elif min(sizes[0]) == 1:
+                seen.add((base, "a lone group beside another"))
+            else:
+                seen.add((base, "both groups packed"))
+    kinds = ("one start", "a lone group beside another", "both groups packed")
+    assert seen == {(base, kind) for base in (2, 8) for kind in kinds}
+
+
 @pytest.mark.parametrize(
     "N, base, walks",
     [
