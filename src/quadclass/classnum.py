@@ -18,8 +18,8 @@ digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
 (Midy's theorem, generalised).  At B = 2, 4, 8 and 10 one division Q =
 (B^w -/+ 1)/N gives every walk of a (D, B), the digits from x those of x Q
 (less 1 when B^w = -1) packed into slots and summed by popcounts; any other
-walk steps, dividing in base B^k and reading the signed sum of each k
-base-B digits from a table.  The classes are the cosets of <B, -1> in the
+walk steps in base B^k, reading the signed sums of k >= 1 digits (a short
+block last) from a table.  The classes are the cosets of <B, -1> in the
 units mod N; the walks start at products of the generators of a chain of
 cyclic kernels, one factor of N at a time (the powers of a primitive root
 for prime N), and mark nothing.  The girstmair route is its one-orbit case.
@@ -87,8 +87,8 @@ __all__ = [
     "lambda_map",
 ]
 
-# The largest block B^k of digits that one long-division step of h_theorem1
-# emits: its digit-sum tables hold at most this many entries per (B, chi(B)).
+# The most entries a stored digit-sum table holds per (B, chi(B)): h_theorem1
+# steps in blocks B^k <= MAX_BLOCK, or in one-digit blocks (range(B)) past it.
 MAX_BLOCK = 4096
 
 
@@ -152,15 +152,17 @@ def h_cycle_contribution(period: ExpansionPeriod, char: QuadChar) -> Fraction:
 
 
 @lru_cache(maxsize=64)
-def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...]]:
-    """(k, tab): k base-B digits per block, tab[A] their sum signed by s^j.
+def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...] | range]:
+    """(k, tab): k >= 1 base-B digits per block, tab[A] their sum signed by s^j.
 
     k is the largest with B^k <= MAX_BLOCK, at either sign; tab[A] =
     sum_j s^j d_j over the k base-B digits d_0 d_1 ... d_(k-1) of A, most
     significant first, so a block that starts on the sign s^k = -1 (s = -1,
-    k odd) adds -tab[A].  k = 0 when no block fits: B > MAX_BLOCK.
+    k odd) adds -tab[A].  B > MAX_BLOCK gets k = 1 and tab = range(B).
     """
-    k = 0
+    if base > MAX_BLOCK:
+        return 1, range(base)
+    k = 1
     while base ** (k + 1) <= MAX_BLOCK:
         k += 1
     tab = [0]
@@ -335,12 +337,12 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     B y_i - a(y_i) N gives B^k y = N sum_{j<k} a(y_j) B^(k-1-j) + y_k with
     0 <= y_k < N, so A = sum_{j<k} a(y_j) B^(k-1-j): the k base-B digits of
     A, most significant first, are the next k digits of the expansion, and
-    one step adds their signed sum, read from _digit_table.  k is the most
-    that fits at either sign, so when chi(B) = -1 and k is odd the blocks
-    start on the signs +1, -1, +1, ...: two blocks per pass, the first
-    summed into t and the second into u, a last odd block into t, and then
-    t + chi(B)^k u.  The steps % k digits left over (all of them when no
-    table fits) go one at a time from the sign chi(B)^(k blocks).
+    one step adds their signed sum, read from _digit_table.  k >= 1 is the
+    most that fits at either sign, so when chi(B) = -1 and k is odd the
+    blocks start on the signs +1, -1, +1, ...: two blocks per pass into t
+    and u, a last odd block into t, then t + chi(B)^k u.  The rest = steps
+    % k digits left are one short block: A = floor(B^rest y/N) has k - rest
+    leading zeros, so it adds chi(B)^(k blocks + k - rest) tab[A].
 
     One division per (D, B).  With k = w the unrolling gives a walk's digits
     as A = floor(B^w x/N), and B^w = c (mod N), c = -1 when -C = C and +1
@@ -411,9 +413,9 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         raw = 0
         k, tab = _digit_table(base, s)
         bk, sk = base**k, s**k  # sk: the sign each odd-numbered block starts on
-        blocks, rest = divmod(steps, k) if k else (0, steps)
+        blocks, rest = divmod(steps, k)
         pairs, odd = divmod(blocks, 2)
-        start = s ** (k * blocks)  # the sign of the first digit left over
+        br, tail = base**rest, s ** (k * blocks + k - rest)  # the short last block
         for x in _products(n, box):
             y = x
             t = u = 0
@@ -429,12 +431,9 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
                 t += tab[y // n]
                 y %= n
             t += sk * u
-            sg = start
-            for _ in range(rest):
-                y *= base
-                t += sg * (y // n)
-                y %= n
-                sg *= s
+            y *= br
+            t += tail * tab[y // n]
+            y %= n
             if y != (n - x if self_paired else x):
                 raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
             raw -= vals[x] * (2 * t - (base - 1) * sign_sum)

@@ -71,7 +71,7 @@ def _walk_shape(disc, base, cycles):
 
 def test_orbit_walk_matches_cycle_contributions():
     branches = set()  # (chi(B), whether -1 is a power of B)
-    shapes = set()
+    shapes = set()  # (chi(B), shape)
     for disc in fundamentals_with_n_up_to(2000):
         char = quad_char(disc)
         for base in _coprime_bases(disc.N):
@@ -81,28 +81,37 @@ def test_orbit_walk_matches_cycle_contributions():
             assert total.denominator == 1, (disc.D, base)
             assert got.h == total, (disc.D, base)
             assert got.raw_sum == total * (base - char.eval(base)), (disc.D, base)
+            s = char.eval(base)
             one = next(c for c in cycles if 1 in c.cycle)
-            branches.add((char.eval(base), disc.N - 1 in one.cycle))
+            branches.add((s, disc.N - 1 in one.cycle))
             walks, steps, k = _walk_shape(disc, base, cycles)
             if walks == 1:
-                shapes.add("W = 1")
+                shapes.add((s, "W = 1"))
             elif is_prime(disc.N):
-                shapes.add("W > 1, N prime")
+                shapes.add((s, "W > 1, N prime"))
             else:
-                shapes.add("W > 1, N composite")
+                shapes.add((s, "W > 1, N composite"))
+            if base in (2, 4, 8, 10):  # one division, no digit table
+                continue
+            # A walk shorter than k, and the digits a longer one leaves over,
+            # are one short block.
             if steps < k:
-                shapes.add("steps < k")
+                shapes.add((s, "steps < k"))
             elif steps % k:
-                shapes.add("steps % k != 0")
+                shapes.add((s, "steps % k != 0"))
     # chi(B) = +1 with -1 a power of B would force chi(-1) = +1.
     assert branches == {(1, False), (-1, False), (-1, True)}
-    assert shapes == {"W = 1", "W > 1, N prime", "W > 1, N composite", "steps < k", "steps % k != 0"}
+    kinds = {"W = 1", "W > 1, N prime", "W > 1, N composite", "steps < k", "steps % k != 0"}
+    assert shapes == {(s, kind) for s in (1, -1) for kind in kinds}
 
 
 def test_orbit_walk_without_digit_tables():
     # B^2 > MAX_BLOCK: B = 67 and 101 step one digit a block at either sign,
-    # and B = 4099 > MAX_BLOCK fits no block at all, so only its walks run
-    # digit by digit.
+    # read from a stored table, and B = 4099 > MAX_BLOCK reads its one-digit
+    # blocks from range(B), which stores nothing.
+    for s in (1, -1):
+        assert classnum._digit_table(4099, s) == (1, range(4099))
+        assert isinstance(classnum._digit_table(67, s)[1], tuple)
     kinds = set()
     for disc in fundamentals_with_n_up_to(500):
         char = quad_char(disc)
@@ -113,9 +122,10 @@ def test_orbit_walk_without_digit_tables():
             total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
             assert h_theorem1(disc, base).raw_sum == total * (base - char.eval(base)), (disc.D, base)
             walks, _, k = _walk_shape(disc, base, cycles)
-            assert k == (base < 4099), (disc.D, base)
-            kinds.add((char.eval(base), k, walks > 1))
-    assert {(1, 1, True), (-1, 1, True), (1, 0, True), (-1, 0, True), (-1, 0, False)} <= kinds
+            assert k == 1, (disc.D, base)
+            kinds.add((base, char.eval(base), walks > 1))
+    for base in (67, 101, 4099):
+        assert {(base, 1, True), (base, -1, True), (base, -1, False)} <= kinds
 
 
 def _odd_block_walk(disc, base, h):
