@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
 from .arith import (
     is_prime,
@@ -446,7 +447,7 @@ def h_floor_formula(disc: Discriminant, base: int) -> HResult:
     floor(Bx/N) = k exactly on the k-th subinterval, so the sum is -sum k E_k.
     """
     entries = ek_table(disc, base).entries
-    raw = -sum(k * e for k, e in enumerate(entries))
+    raw = -sum(map(mul, range(base), entries))
     s = quad_char(disc).eval(base)
     return _exact_h(disc, raw, base - s, f"floor[B={base}]", raw)
 
@@ -469,9 +470,9 @@ def _half_table(disc: Discriminant, base: int, b1: int, method: str) -> HResult:
     sum_{j < B1/2} (B1-1-2j) E_j = (B1 - chi(B1)) h.  B1 = B is the
     unfactored identity, with blocks of one interval.
     """
-    entries = ek_table(disc, base).entries
-    b2 = base // b1
-    raw = sum((b1 - 1 - 2 * j) * sum(entries[j * b2 : (j + 1) * b2]) for j in range(b1 // 2))
+    blocks = zip(*[iter(ek_table(disc, base).entries)] * (base // b1))  # B2 intervals each
+    # The weights B1 - 1 - 2j of the coarse totals E_j(B1), j < B1/2.
+    raw = sum(map(mul, range(b1 - 1, 0, -2), map(sum, blocks)))
     s1 = quad_char(disc).eval(b1)
     return _exact_h(disc, raw, b1 - s1, method, raw)
 

@@ -19,7 +19,9 @@ number route shares: the table of chi_D over one period, built once per D
 as a product of periodic rows (the Jacobi symbol factored into Legendre
 rows, times the chi4/chi8 row), and the EkTable of counts of chi = +1, -1
 in the B pieces of (0, N) per (D, B), both counted off that table in one
-pass over the merged cuts of all the bases asked for at once.  Single values
+pass over the cuts of all the bases asked for at once.  The merged order of
+those cuts depends only on the set of bases, never on N, so it is a cached
+plan (_cut_plan) and a D only scales its integer keys.  Single values
 are read from the table too.  The formula above, evaluated pointwise through
 quadratic reciprocity, is the tests' independent oracle.  quad_char keeps
 the QuadChar of the last D.  check_size and check_base refuse an N above
@@ -27,14 +29,13 @@ MAX_N and a base outside 2..MAX_BASE before any table or cut list exists.
 """
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import gcd
-from operator import sub
+from math import gcd, lcm
+from operator import itemgetter, sub
 
 from .arith import distinct_prime_factors, is_squarefree
 from .errors import (
@@ -228,12 +229,14 @@ class QuadChar:
         """The EkTables at bases, in their order, counting those not kept yet in one pass.
 
         pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  Every
-        new base is checked first (check_base).  Their cuts merge into one sorted list, with
-        one count of the bytes 1 and one of the bytes 255 (chi = -1) per fine piece; each
-        base takes differences of these running totals at its own cuts.  The cut kN/B is an
-        integer exactly when k is a multiple of B/g, g = gcd(B, N); such a cut x with
-        chi(x) != 0 would lie on both sides, so it raises InternalError before any base is
-        kept.  N/4, a cut of even D at B = 4 and 12, has chi = 0.
+        new base is checked first (check_base).  One new base counts the bytes 1 and 255
+        (chi = -1) between its own cuts.  Several take the points of their _cut_plan (kept
+        when it covers at most MAX_PLAN_CUTS cuts), count the fine pieces between those
+        points, and each base takes differences of the running totals at its own indices;
+        a repeated point makes an empty piece, which counts 0.  The cut kN/B is an integer
+        exactly when k is a multiple of B/g, g = gcd(B, N); such a cut x with chi(x) != 0
+        would lie on both sides, so it raises InternalError before any base is kept.  N/4,
+        a cut of even D at B = 4 and 12, has chi = 0.
         """
         new = [b for b in dict.fromkeys(bases) if b not in self._counts]
         if new:
@@ -246,18 +249,49 @@ class QuadChar:
                         raise InternalError(
                             f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {c}"
                         )
-            cuts = {base: [k * n // base for k in range(base + 1)] for base in new}
-            points = sorted(set().union(*cuts.values()))
             data = memoryview(vals)[1:].tobytes()  # data[a:b] is chi(a + 1), ..., chi(b)
-            # to[0][i] and to[1][i] count the bytes 1 and 255 (chi = -1) in [1, points[i]].
-            to = [array("q", accumulate(map(data.count, repeat(c), points, points[1:]), initial=0))
-                  for c in (1, 255)]
-            for base, row in cuts.items():
-                at = array("q", map(bisect_left, repeat(points), row))  # row[k] is points[at[k]]
-                pos, neg = (tuple(map(sub, map(t.__getitem__, at[1:]), map(t.__getitem__, at)))
-                            for t in to)
+            if len(new) == 1:
+                (base,) = new
+                counts = {base: _piece_counts(data, [k * n // base for k in range(base + 1)])}
+            else:
+                plan = _cut_plan if sum(new) + len(new) <= MAX_PLAN_CUTS else _cut_plan.__wrapped__
+                keys, size, at = plan(tuple(sorted(new)))
+                pieces = _piece_counts(data, [key * n // size for key in keys])
+                totals = [tuple(accumulate(p, initial=0)) for p in pieces]
+                counts = {}
+                for base in new:
+                    ends = [at[base](to) for to in totals]  # the running totals at B's cuts
+                    counts[base] = [tuple(map(sub, e[1:], e)) for e in ends]
+            for base, (pos, neg) in counts.items():
                 self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
         return [self._counts[b] for b in bases]
+
+
+# The most cuts a cached _cut_plan covers.  The sweep's plans (bases 2..13) cover
+# under 100; 64 plans of this size hold about 16 MB, where one plan of two bases
+# near MAX_BASE would hold 15 MB.  A larger set of bases merges its cuts on every call.
+MAX_PLAN_CUTS = 4096
+
+
+def _piece_counts(data: bytes, points: list[int]) -> list[tuple[int, ...]]:
+    """The counts of the bytes 1 and 255 (chi = -1) of data in each piece
+    (points[i], points[i + 1]]; an empty piece, from a repeated point, counts 0."""
+    return [tuple(map(data.count, repeat(c), points, points[1:])) for c in (1, 255)]
+
+
+@lru_cache(maxsize=64)
+def _cut_plan(bases: tuple[int, ...]) -> tuple[list[int], int, dict[int, itemgetter]]:
+    """(keys, L, at) for two or more distinct ascending bases, L = lcm(bases).
+
+    The cut kN/B of every base is the key k (L/B) scaled by N/L, and floor(key N / L)
+    is monotone in the key, so the sorted keys give the merged order of the cuts at
+    every N.  at[B] reads the entries at B's B + 1 keys from a row over the keys.
+    """
+    size = lcm(*bases)
+    keys = sorted({k * (size // b) for b in bases for k in range(b + 1)})
+    index = {key: i for i, key in enumerate(keys)}
+    at = {b: itemgetter(*(index[k * (size // b)] for k in range(b + 1))) for b in bases}
+    return keys, size, at
 
 
 # One period of chi4, chi8 or chi4 chi8: the row of the prime 2, which only an

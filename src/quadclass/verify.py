@@ -14,7 +14,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -166,8 +166,9 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
         coprime = [b for b in bases if gcd(b, disc.N) == 1]
         # Each parity branch counts, in one pass, the E_k tables its checks and the routes read.
         checks = dict.fromkeys(CHECK_KEYS)
+        char = quad_char(disc)
         if disc.case is Case.ODD:
-            quad_char(disc).ek_tables((*coprime, 2, 4, *((6, 12) if disc.N % 3 else ())))
+            char.ek_tables((*coprime, 2, 4, *((6, 12) if disc.N % 3 else ())))
             checks["base2"] = check_b2(disc).passed
             checks["base4"] = check_b4(disc).passed
             if disc.N % 3:
@@ -175,15 +176,16 @@ def verify_discriminant(D: int, bases: Sequence[int] = DEFAULT_BASES) -> Discrim
                 checks["sixth"] = h_abs_sixth(disc).h == h
                 checks["base12"] = check_b12(disc, h, ek_table(disc, 12).entries[0]).passed
         else:
-            quad_char(disc).ek_tables((*coprime, 4, *((12,) if disc.N % 3 else ())))
+            char.ek_tables((*coprime, 4, *((12,) if disc.N % 3 else ())))
             checks["quarter"] = h_quarter_sum(disc).h == h
             if disc.N % 3:
                 checks["sixth_pair"] = check_s1_s2(disc).passed
-        formulas = dict.fromkeys(f"{family}_B{b}" for family in METHODS[1:-1] for b in bases)
+        names = _route_columns(tuple(bases))
+        formulas = dict.fromkeys(names.values())
         factored = []
         for family, b, result in routes(disc, coprime, METHODS[1:]):
-            if family in METHODS[1:-1]:
-                formulas[f"{family}_B{b}"] = result.h
+            if name := names.get((family, b)):
+                formulas[name] = result.h
             else:
                 factored.append(result.h == h)
         factored_ok = all(factored) if factored else None
@@ -239,29 +241,34 @@ def verify_range(
 # ----- report serialization -----
 
 
+@lru_cache(maxsize=16)
+def _route_columns(bases: tuple) -> dict:
+    """(family, B) -> the report column of that route, for the routes with one per base,
+    in column order."""
+    return {(family, b): f"{family}_B{b}" for family in METHODS[1:-1] for b in bases}
+
+
 def columns(bases: Sequence[int]) -> list:
     """CSV/JSON column names, fixed by the base list."""
-    cols = ["D", "N", "case", "h"]
-    for family in METHODS[1:-1]:
-        cols += [f"{family}_B{b}" for b in bases]
-    cols.append("factored_ok")
-    cols += list(CHECK_KEYS)
-    cols += ["agree", "passed", "error"]
-    return cols
+    return ["D", "N", "case", "h", *_route_columns(tuple(bases)).values(), "factored_ok",
+            *CHECK_KEYS, "agree", "passed", "error"]
+
+
+def _rows(records: Sequence[DiscriminantRecord], bases: Sequence[int]) -> Iterator[dict]:
+    """record_row of each record, with the columns of the base list built once."""
+    formula_cols = list(_route_columns(tuple(bases)).values())
+    for rec in records:
+        formulas, checks = rec.formulas, rec.checks
+        yield {"D": rec.D, "N": rec.N, "case": rec.case, "h": rec.h,
+               **{col: formulas.get(col) for col in formula_cols},
+               "factored_ok": rec.factored_ok,
+               **{key: checks.get(key) for key in CHECK_KEYS},
+               "agree": rec.agree, "passed": rec.passed, "error": rec.error}
 
 
 def record_row(rec: DiscriminantRecord, bases: Sequence[int]) -> dict:
-    """One record flattened to columns(bases): a check, a record field or a route."""
-    fields = vars(rec)
-    row = {}
-    for col in columns(bases):
-        if col in CHECK_KEYS:
-            row[col] = rec.checks.get(col)
-        elif col in fields:
-            row[col] = fields[col]
-        else:
-            row[col] = rec.formulas.get(col)
-    return row
+    """One record flattened to columns(bases): a record field, a route or a check."""
+    return next(_rows((rec,), bases))
 
 
 def _cell(value) -> str:
@@ -278,20 +285,37 @@ def to_csv(report: VerificationReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns(report.bases))
-    for rec in report.records:
-        writer.writerow([_cell(v) for v in record_row(rec, report.bases).values()])
+    for row in _rows(report.records, report.bases):
+        writer.writerow([_cell(v) for v in row.values()])
     return buf.getvalue()
 
 
+# Encodes the list of rows in one call of the C encoder, each row flat with
+# its items on lines of their own at the depth json.dumps(indent=2) gives them.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
 def to_json(report: VerificationReport) -> str:
+    """json.dumps(payload, indent=2) of the report, byte for byte, plus a newline.
+
+    The header and summary are rendered by json.dumps with "records": [], and the
+    rows, encoded at once by _ROWS_ENCODER, are spliced in.  A row is a flat dict of
+    scalars and an encoded string never holds a raw newline, so "},\n      {" occurs
+    only between two rows, where indent=2 puts "\n    },\n    {\n      ".
+    """
     payload = {
         "from": report.lo,
         "to": report.hi,
         "bases": list(report.bases),
         "summary": report.summary,
-        "records": [record_row(rec, report.bases) for rec in report.records],
+        "records": [],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2)
+    if report.records:
+        rows = _ROWS_ENCODER.encode(list(_rows(report.records, report.bases)))
+        body = rows[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        text = f"{text[:-4]}[\n    {{\n      {body}\n    }}\n  ]\n}}"
+    return text + "\n"
 
 
 def to_text(report: VerificationReport) -> str:

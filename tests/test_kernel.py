@@ -19,6 +19,7 @@ import pytest
 
 import quadclass.arith as arith
 import quadclass.classnum as classnum
+import quadclass.discriminant as discriminant
 from quadclass.arith import (
     distinct_prime_factors,
     is_prime,
@@ -546,6 +547,53 @@ def test_merged_pass_matches_per_base_counts_and_binning():
             assert table.entries == tuple(entries), (disc.D, base)
             assert table.pos_counts == tuple(pos), (disc.D, base)
             assert table.neg_counts == tuple(neg), (disc.D, base)
+
+
+def test_cut_plan_matches_binning_across_n_and_orders():
+    # The merged order of the cuts depends only on the set of bases, so one cached
+    # plan serves every N and every order of the same bases.  Bases above N (up to
+    # 3N) and 4099 repeat points, which make empty pieces.
+    plan = discriminant._cut_plan
+    plan.cache_clear()
+    rng = random.Random(19)
+    subsets = [rng.sample(range(2, 14), rng.randint(2, 13)) for _ in range(8)]
+    sets = set()
+    for D in (-7, -8, -15, -20, -23, -24, -84, -3315, -4004, -30011):
+        disc = from_discriminant(D)
+        n = disc.N
+        large = [n + 1, 2 * n + 1, 3 * n, 4099] if n < 100 else [4099]
+        for bases in [*subsets, large + subsets[0], large, large[:-1]]:
+            bases = [b for b in bases if first_integral_unit_cut(disc, b) is None]
+            for order in (bases, bases[::-1]):
+                char = QuadChar(disc)
+                tables = char.ek_tables(tuple(order))
+                for base, table in zip(order, tables):
+                    entries, pos, neg = ek_by_binning(char.values(), n, base)
+                    assert table.entries == tuple(entries), (D, base, order)
+                    assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg))
+            distinct = set(bases)
+            if len(distinct) > 1 and sum(distinct) + len(distinct) <= discriminant.MAX_PLAN_CUTS:
+                sets.add(frozenset(distinct))
+    # A plan past MAX_PLAN_CUTS (4099 with any other base) is built per call, never kept.
+    info = plan.cache_info()
+    assert info.misses == info.currsize == len(sets) and info.hits > info.misses
+
+
+def test_lone_base_builds_no_plan(monkeypatch):
+    def no_plan(bases):
+        raise AssertionError(f"merged plan built for {bases}")
+
+    monkeypatch.setattr(discriminant, "_cut_plan", no_plan)
+    for D in (-7, -4004, -300007):
+        disc = from_discriminant(D)
+        char = QuadChar(disc)
+        vals, n = char.values(), disc.N
+        for bases in [(5,), (3, 3), (4099,)]:
+            (table, *_) = char.ek_tables(bases)
+            assert table.entries == tuple(ek_by_binning(vals, n, bases[0])[0]), (D, bases)
+        # 3 and 5 are kept, so 9 is the one base this pass counts.
+        assert [t.base for t in char.ek_tables((3, 9, 5))] == [3, 9, 5]
+        assert char.ek_table(9).entries == tuple(ek_by_binning(vals, n, 9)[0])
 
 
 @pytest.mark.parametrize("D", [-47, -4004, -300007])

@@ -8,6 +8,7 @@ import pytest
 
 from quadclass.classnum import MAX_BASE
 from quadclass.discriminant import from_discriminant, quad_char
+from quadclass.errors import InternalError
 from quadclass.verify import (
     CHECK_KEYS,
     DEFAULT_BASES,
@@ -225,6 +226,60 @@ class TestReports:
         cols = columns(report.bases)
         row = record_row(report.records[0], report.bases)
         assert list(row) == cols
+
+
+def _dumped(report):
+    """The report through json.dumps(indent=2), its rows built one by one by record_row."""
+    payload = {
+        "from": report.lo,
+        "to": report.hi,
+        "bases": list(report.bases),
+        "summary": report.summary,
+        "records": [record_row(rec, report.bases) for rec in report.records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    # to_json splices rows encoded at once into a json.dumps header; the
+    # bytes must be those of one json.dumps(indent=2) of the whole payload.
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_json_dumps(self, jobs):
+        report = verify_range(-300, -5, jobs=jobs)
+        assert len(report.records) > 2
+        assert to_json(report) == _dumped(report)
+
+    def test_empty_report(self):
+        report = verify_range(-6, -5)
+        text = to_json(report)
+        assert text == _dumped(report)
+        assert '"records": []\n}\n' in text
+
+    def test_fail_rows_with_awkward_errors(self, monkeypatch):
+        import quadclass.verify as V
+
+        messages = {
+            -7: 'a quote " and a backslash \\',
+            -15: "non-ASCII: \u00e9, \u2603 and \U0001d53d",
+            -20: "an escaped\nnewline",
+            -23: "},\n      {",
+            -31: '}"},\n      {"D": 1}',
+        }
+        real = V.h_theorem1
+
+        def broken(disc, base):
+            if disc.D in messages:
+                raise InternalError(messages[disc.D])
+            return real(disc, base)
+
+        monkeypatch.setattr(V, "h_theorem1", broken)
+        report = verify_range(-40, -5, bases=(2, 3))
+        assert {r.D: r.error for r in report.records if not r.passed} == messages
+        text = to_json(report)
+        assert text == _dumped(report)
+        rows = json.loads(text)["records"]
+        assert {row["D"]: row["error"] for row in rows if row["error"]} == messages
 
 
 class TestRoutes:
