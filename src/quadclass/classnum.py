@@ -26,9 +26,11 @@ for prime N), and mark nothing.  The girstmair route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
-h_dirichlet, the reference route, sums over x by parts, in C.  A base is
-checked where it is used, by discriminant.check_base (2 <= B <= MAX_BASE):
-in each route's coprimality check, and in ek_tables for each base it counts.
+h_dirichlet, the reference route, sums by parts, in C, over half a period:
+the same reflection folds it, sum_{x<=N} x chi(x) = sum_{x<N/2} (2x - N)
+chi(x).  A base is checked where it is used, by discriminant.check_base
+(2 <= B <= MAX_BASE): in each route's coprimality check, and in ek_tables
+for each base it counts.
 
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
@@ -126,10 +128,15 @@ def alternating_digit_sum(digits) -> int:
 
 @lru_cache(maxsize=256)
 def h_dirichlet(disc: Discriminant) -> HResult:
-    """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route, summed exactly by parts
-    in C: with S_k = chi(0) + ... + chi(k), the sum is (N + 1) S_N - sum_{k<=N} S_k."""
-    vals = quad_char(disc).values()
-    raw = (disc.N + 1) * sum(vals) - sum(accumulate(vals))
+    """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route, folded onto half a period:
+    chi(N - x) = -chi(x), and chi(N/2) = 0 for even N, so the sum is
+    sum_{x<N/2} (2x - N) chi(x) = 2W - N S, with S = sum chi(x) and W = sum x chi(x) over
+    x < m = N // 2 + 1.  W is summed exactly by parts in C: with S_k = chi(0) + ... + chi(k),
+    W = m S - sum_{k<m} S_k."""
+    m = disc.N // 2 + 1
+    half = quad_char(disc).values()[:m]
+    s = sum(half)
+    raw = 2 * (m * s - sum(accumulate(half))) - disc.N * s
     return _exact_h(disc, -raw, disc.N, "dirichlet", raw)
 
 

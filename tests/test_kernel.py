@@ -40,7 +40,7 @@ from quadclass.classnum import (
     h_girstmair,
     h_theorem1,
 )
-from quadclass.discriminant import QuadChar, from_discriminant, quad_char
+from quadclass.discriminant import Case, QuadChar, from_discriminant, quad_char
 from quadclass.errors import InternalError, ModulusTooLargeError
 from quadclass.verify import DEFAULT_BASES, verify_discriminant
 
@@ -244,6 +244,46 @@ def test_dirichlet_sum_by_parts_matches_per_x_sum():
     for disc in discs:
         want = dirichlet_sum_by_x(quad_char(disc).values(), disc.N)
         assert h_dirichlet(disc).raw_sum == want, disc.D
+
+
+def test_folded_dirichlet_sum_matches_per_x_sum():
+    # The fold reads chi(x) for x < N/2 only: odd N (floor(N/2) odd, as N = 3 mod 4) and
+    # even N (N/2 even), a large prime and a large composite odd N, each even shape, -1000003.
+    large = {-300007: Case.ODD, -300003: Case.ODD, -400004: Case.D1, -400024: Case.D2,
+             -400008: Case.D3, -1000003: Case.ODD}
+    discs = [*fundamentals_with_n_up_to(200), *map(from_discriminant, large)]
+    assert {(d.N % 2, d.N // 2 % 2) for d in discs} == {(1, 1), (0, 0)}
+    assert [d.case for d in discs[-len(large):]] == list(large.values())
+    assert not is_prime(300003) and is_prime(300007) and is_prime(1000003)
+    for disc in discs:
+        want = dirichlet_sum_by_x(quad_char(disc).values(), disc.N)
+        assert h_dirichlet(disc).raw_sum == want, disc.D
+
+
+@pytest.mark.parametrize("D", [-23, -4004, -300007])
+@pytest.mark.parametrize("upper", [False, True])
+def test_corrupt_table_entry_fails_the_record(D, upper):
+    # One unit's chi flipped in the cached table: below N/2 the fold reads it, so
+    # dirichlet's h changes or fails its division; above N/2 only the other routes do
+    # (floor reads the whole table), and the record fails either way.
+    _clear_caches()
+    disc = from_discriminant(D)
+    good = h_dirichlet(disc)
+    vals = quad_char(disc).values()
+    x = next(x for x in range(disc.N // 2 + 1, disc.N) if vals[x]) if upper else 1
+    h_dirichlet.cache_clear()
+    vals[x] = -vals[x]
+    try:
+        if upper:
+            assert h_dirichlet(disc) == good
+        else:
+            try:
+                assert h_dirichlet(disc).h != good.h
+            except InternalError as exc:
+                assert "dirichlet" in str(exc)
+        assert not verify_discriminant(D).passed
+    finally:
+        _clear_caches()
 
 
 def _record_factoring(monkeypatch) -> list[int]:
