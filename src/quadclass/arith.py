@@ -29,9 +29,9 @@ def multiplicative_order(b: int, n: int) -> int:
 
     Starts from phi(n), a multiple of the order, and strips the primes of
     phi(n), from phi_with_primes, while the power still annihilates.  The
-    sweep asks for no order (h_theorem1 reads its period off classnum._tower);
-    the callers are expand, all_cycles and h_girstmair, and expand() over
-    every orbit of one (b, n) asks repeatedly in a row.
+    sweep asks for no order (h_theorem1 and h_girstmair read their period
+    off classnum._tower); the callers are expand and, through it,
+    all_cycles, which asks for every orbit of one (b, n) in a row.
     """
     if n <= 1:
         raise InvalidModulusError(f"modulus must exceed 1, got {n}")
@@ -109,15 +109,13 @@ def is_primitive_root(b: int, p: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def least_primitive_root(p: int, primes: tuple[int, ...] | None = None) -> int:
+def least_primitive_root(p: int) -> int:
     """Smallest positive primitive root of the odd prime p; cached, one search per p.
-    Given primes, which must be exactly the distinct primes of p - 1, ascending, p is
-    taken as prime and nothing is factored: classnum._tower passes the primes of phi(N)
-    that divide p - 1, so every N that p divides shares one entry (-5000..-5 needs 374)."""
-    if primes is None:
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"need an odd prime, got {p}")
-        primes = phi_with_primes(p)[1]
+    h_girstmair, the CLI and classnum._tower all ask by p alone, so every N that p
+    divides shares one entry (-5000..-5 needs 374)."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"need an odd prime, got {p}")
+    primes = phi_with_primes(p)[1]
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
             return g

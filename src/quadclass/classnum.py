@@ -6,9 +6,9 @@ digits, evaluated in exact integer (or rational) arithmetic:
   * the weighted character sum  h = -(1/N) sum chi(x) x  over x in [1, N];
   * per-cycle digit sums of the base-B expansions of x/N, combined with
     weight 1/(B+1) (alternating, chi(B) = -1) or 1/(B-1) (plain, chi(B) = +1);
-  * the floor sum  -sum chi(x) floor(Bx/N) = (B - chi(B)) h;
-  * weighted sums of the subinterval character totals E_k(B), either at B
-    directly or regrouped through a divisor B1 of B.
+  * weighted sums of the subinterval character totals E_k(B), one helper
+    (_ek_sum) for all three: the floor sum -sum chi(x) floor(Bx/N) = -sum k E_k
+    = (B - chi(B)) h, and the half-table sum at B or regrouped through B1 | B.
 
 The routes share one kernel: the character table of discriminant.QuadChar,
 built once per D.  The cycle route walks the orbits of x -> Bx mod N over
@@ -112,7 +112,8 @@ def _check_coprime_base(disc: Discriminant, base: int) -> None:
 
 
 def _exact_h(disc: Discriminant, num: int, den: int, method: str, raw: int) -> HResult:
-    """Divide num/den checking exactness and positivity; wrap as HResult."""
+    """Divide num/den checking exactness and positivity; wrap as HResult.  Every route
+    and the sixth and quarter closed forms end here: the one positivity check."""
     h, r = divmod(num, den)
     if r:
         raise InternalError(f"{method} at D={disc.D}: {num} not divisible by {den}")
@@ -211,7 +212,7 @@ def _tower(base: int, n: int, where: str) -> tuple[int, bool, list[tuple[int, in
             raise InternalError(f"{where}: r = {k} * {below} / {size} mod {m} is not whole")
         if r == 1:
             continue
-        g = g or least_primitive_root(q, tuple(f for f in phi_primes if k % f == 0))
+        g = g or least_primitive_root(q)
         rest = n // part
         gamma = 1 + rest * ((g - 1) * pow(rest, -1, part) % part)  # g mod part, 1 mod rest
         for p in phi_primes:
@@ -453,10 +454,7 @@ def h_floor_formula(disc: Discriminant, base: int) -> HResult:
 
     floor(Bx/N) = k exactly on the k-th subinterval, so the sum is -sum k E_k.
     """
-    entries = ek_table(disc, base).entries
-    raw = -sum(map(mul, range(base), entries))
-    s = quad_char(disc).eval(base)
-    return _exact_h(disc, raw, base - s, f"floor[B={base}]", raw)
+    return _ek_sum(disc, base, base, range(0, -base, -1), f"floor[B={base}]")
 
 
 def ek_table(disc: Discriminant, base: int) -> EkTable:
@@ -469,31 +467,29 @@ def ek_table(disc: Discriminant, base: int) -> EkTable:
     return quad_char(disc).ek_table(base)
 
 
-def _half_table(disc: Discriminant, base: int, b1: int, method: str) -> HResult:
-    """h from the fine E_k(B) regrouped into B1 blocks, B = B1 * B2.
-
-    Summing E_k(B) over each block of B2 consecutive fine intervals gives
-    the coarse totals E_j(B1); the half-table identity then runs at B1:
-    sum_{j < B1/2} (B1-1-2j) E_j = (B1 - chi(B1)) h.  B1 = B is the
-    unfactored identity, with blocks of one interval.
-    """
-    blocks = zip(*[iter(ek_table(disc, base).entries)] * (base // b1))  # B2 intervals each
-    # The weights B1 - 1 - 2j of the coarse totals E_j(B1), j < B1/2.
-    raw = sum(map(mul, range(b1 - 1, 0, -2), map(sum, blocks)))
+def _ek_sum(disc: Discriminant, base: int, b1: int, weights: range, method: str) -> HResult:
+    """h from sum w_j E_j(B1) = (B1 - chi(B1)) h over E_k(B), B1 | B: the E_k routes'
+    one sum, with w_j = -j (floor) or B1 - 1 - 2j, j < B1/2 (interval at B1 = B, and
+    factored).  When B1 < B, blocks of B/B1 fine totals sum to the coarse E_j(B1)."""
+    entries = ek_table(disc, base).entries
+    if b1 < base:
+        entries = map(sum, zip(*[iter(entries)] * (base // b1)))
+    raw = sum(map(mul, weights, entries))
     s1 = quad_char(disc).eval(b1)
     return _exact_h(disc, raw, b1 - s1, method, raw)
 
 
 def h_from_ek(disc: Discriminant, base: int) -> HResult:
     """h from the half-table identity sum_{k < B/2} (B-1-2k) E_k = (B - chi(B)) h."""
-    return _half_table(disc, base, base, f"interval[B={base}]")
+    return _ek_sum(disc, base, base, range(base - 1, 0, -2), f"interval[B={base}]")
 
 
 def h_from_ek_factored(disc: Discriminant, base: int, b1: int) -> HResult:
-    """h from the E_k(B) regrouped into B1 blocks, B = B1 * B2; B1 = B is allowed."""
+    """h from the E_k(B) regrouped into B1 blocks, B = B1 * B2; B1 = B is allowed.  The
+    half-table weights B1 - 1 - 2j in _ek_sum, the one weighted E_k sum of all three routes."""
     if b1 < 2 or b1 > base or base % b1:
         raise InvalidFactorizationError(f"B1={b1} does not factor B={base}")
-    return _half_table(disc, base, b1, f"factored[B={base},B1={b1}]")
+    return _ek_sum(disc, base, b1, range(b1 - 1, 0, -2), f"factored[B={base},B1={b1}]")
 
 
 def h_girstmair(p: int, base: int | None = None) -> HResult:

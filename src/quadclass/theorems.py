@@ -14,9 +14,9 @@ at B = 4 and 12, whose integral cuts carry chi = 0), so none sums over x.
 
 from dataclasses import dataclass
 
-from .classnum import HResult, ek_table, h_dirichlet
+from .classnum import HResult, _exact_h, ek_table, h_dirichlet
 from .discriminant import Case, Discriminant, quad_char
-from .errors import DivisibleByThreeError, InternalError, WrongParityError
+from .errors import DivisibleByThreeError, WrongParityError
 
 __all__ = [
     "CongruenceClass24",
@@ -150,9 +150,7 @@ def h_abs_sixth(disc: Discriminant) -> HResult:
     _require_odd(disc)
     _require_coprime_to_3(disc)
     raw = _total(disc, 6, 1)
-    if raw == 0:
-        raise InternalError(f"sixth-interval sum vanished at D={disc.D}")
-    return HResult(disc, abs(raw), "sixth", raw)
+    return _exact_h(disc, abs(raw), 1, "sixth", raw)
 
 
 def check_b12(disc: Discriminant, h: int, e0: int) -> TheoremCheck:
@@ -175,9 +173,7 @@ def h_quarter_sum(disc: Discriminant) -> HResult:
     """Even D: h = sum of chi(x) over 0 < x < N/4, with no sign ambiguity."""
     _require_even(disc)
     raw = _total(disc, 4, 1)  # x = N/4 itself has chi = 0
-    if raw < 1:
-        raise InternalError(f"quarter sum {raw} < 1 at D={disc.D}")
-    return HResult(disc, raw, "quarter", raw)
+    return _exact_h(disc, raw, 1, "quarter", raw)
 
 
 def check_s1_s2(disc: Discriminant) -> TheoremCheck:

@@ -20,6 +20,7 @@ import pytest
 import quadclass.arith as arith
 import quadclass.classnum as classnum
 import quadclass.discriminant as discriminant
+import quadclass.theorems as theorems
 from quadclass.arith import (
     distinct_prime_factors,
     is_prime,
@@ -341,7 +342,7 @@ def test_primitive_root_searched_once_per_prime_n(monkeypatch):
                 and sum(classes(d.N, b) > 1 for b in DEFAULT_BASES if b % d.N) >= 2)
     calls = []
     monkeypatch.setattr(classnum, "least_primitive_root",
-                        lambda p, primes: calls.append(p) or least_primitive_root(p, primes))
+                        lambda p: calls.append(p) or least_primitive_root(p))
     _clear_caches()
     assert verify_discriminant(disc.D).passed
     assert len(calls) >= 2
@@ -350,10 +351,10 @@ def test_primitive_root_searched_once_per_prime_n(monkeypatch):
 
 def test_root_of_p_searched_once_for_every_n_it_divides(monkeypatch):
     # 5 divides N = 15 and N = 35, whose phi(N) have the primes (2,) and (2, 3),
-    # and both towers need 5's root: the search is keyed on p - 1's primes.
+    # and both towers need 5's root: the search is keyed on p alone.
     asked = set()  # (D, p) for each root a tower of D asks for
     monkeypatch.setattr(classnum, "least_primitive_root",
-                        lambda p, primes: asked.add((D, p)) or least_primitive_root(p, primes))
+                        lambda p: asked.add((D, p)) or least_primitive_root(p))
     _clear_caches()
     for D in (-15, -35):
         disc = from_discriminant(D)
@@ -363,12 +364,22 @@ def test_root_of_p_searched_once_for_every_n_it_divides(monkeypatch):
     assert least_primitive_root.cache_info().misses == len({p for _, p in asked})
 
 
+def test_tower_and_direct_callers_share_one_root_entry():
+    # At N = 15, B = 4 the tower needs 5's root (r = 2 at the step mod 5) and no
+    # other; asking for it again by p alone, as h_girstmair and the CLI do, hits.
+    _clear_caches()
+    h_theorem1(from_discriminant(-15), 4)
+    assert least_primitive_root(5) == 2
+    info = least_primitive_root.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_root_cache_keeps_every_prime_of_a_sweep(monkeypatch):
     # A sweep down to -1200 walks towers that need the roots of more primes
     # than 64, revisiting each p at every N it divides: each is searched once.
     asked = set()
     monkeypatch.setattr(classnum, "least_primitive_root",
-                        lambda p, primes: asked.add(p) or least_primitive_root(p, primes))
+                        lambda p: asked.add(p) or least_primitive_root(p))
     _clear_caches()
     for disc in fundamentals_with_n_up_to(1200):
         for base in _coprime_bases(disc.N):
@@ -560,6 +571,19 @@ def test_non_integral_or_non_positive_h_is_caught():
         classnum._exact_h(disc, 7, 2, "cycle[B=3]", 7)
     with pytest.raises(InternalError, match="<= 0"):
         classnum._exact_h(disc, -6, 2, "cycle[B=3]", -6)
+
+
+@pytest.mark.parametrize("D, method, raw", [(-23, "sixth", 0), (-4004, "quarter", 0),
+                                            (-4004, "quarter", -3)])
+def test_closed_form_guards_are_the_exact_h_check(monkeypatch, D, method, raw):
+    # A vanishing sixth sum or a quarter sum below 1 fails _exact_h's positivity check.
+    monkeypatch.setattr(theorems, "_total", lambda disc, base, k: raw)
+    route = theorems.h_abs_sixth if method == "sixth" else theorems.h_quarter_sum
+    message = f"{method} at D={D}: got h = {abs(raw) if method == 'sixth' else raw} <= 0"
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        route(from_discriminant(D))
+    rec = verify_discriminant(D)
+    assert not rec.passed and rec.error == message
 
 
 def test_integral_endpoint_is_caught(monkeypatch):

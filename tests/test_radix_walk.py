@@ -237,11 +237,11 @@ def test_start_certificate(monkeypatch, D, base, power, bad):
     g = least_primitive_root(n)
     # g^power is no primitive root, but its classes g^(power j) H are still
     # all W cosets: power is prime to W, and the certificate accepts it.
-    monkeypatch.setattr(classnum, "least_primitive_root", lambda p, primes: pow(g, power, p))
+    monkeypatch.setattr(classnum, "least_primitive_root", lambda p: pow(g, power, p))
     assert h_theorem1(disc, base).raw_sum == want
     # g^q for a prime q | W reaches only W/q of the cosets, and B only H.
     for start in [pow(g, q, n) for q in bad] + [base]:
-        monkeypatch.setattr(classnum, "least_primitive_root", lambda p, primes: start)
+        monkeypatch.setattr(classnum, "least_primitive_root", lambda p: start)
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}: start {start} misses classes"):
             h_theorem1(disc, base)
 
