@@ -19,10 +19,16 @@ digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
 (B^w -/+ 1)/N gives every walk of a (D, B), the digits from x those of x Q
 (less 1 when B^w = -1) packed into slots and summed by popcounts; any other
 walk steps in base B^k, reading the signed sums of k >= 1 digits (a short
-block last) from a table.  The classes are the cosets of <B, -1> in the
-units mod N; the walks start at products of the generators of a chain of
-cyclic kernels, one factor of N at a time (the powers of a primitive root
-for prime N), and mark nothing.  The girstmair route is its one-orbit case.
+block last) from a table.  Once the walks of a (D, B) cover LANE_DIGITS
+digits they are cut into segments of T digits that step together, each
+in a slot of whole 64-bit words of one int (_lanes): one fixed-point
+divide (Granlund and Montgomery) emits a digit in every slot, exactly,
+with no carry or borrow between slots, and the packed ends are checked
+against each segment's successor in one comparison.  The classes are the
+cosets of <B, -1> in the units mod N; the walks start at products of the
+generators of a chain of cyclic kernels, one factor of N at a time (the
+powers of a primitive root for prime N), and mark nothing.  The girstmair
+route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
@@ -36,13 +42,15 @@ Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
 """
 
+from array import array
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, Context, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
+from sys import byteorder
 
 from .arith import (
     is_prime,
@@ -93,6 +101,9 @@ __all__ = [
 # The most entries a stored digit-sum table holds per (B, chi(B)): h_theorem1
 # steps in blocks B^k <= MAX_BLOCK, or in one-digit blocks (range(B)) past it.
 MAX_BLOCK = 4096
+# The fewest digits, phi(N)/2, the walks of one (D, B) cover before h_theorem1 steps them
+# in packed lanes (_lanes) at a base with no C radix; below it every walk steps alone.
+LANE_DIGITS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -299,6 +310,55 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
     return total
 
 
+def _lanes(base: int, n: int, s: int, seg: int, count: int, xs: list[int], vals,
+           where: str) -> tuple[int, list[int]]:
+    """(total, ends): sum chi(x) t over the first count * seg digits of each walk from x
+    in xs, t their sum signed by s^i, and each walk's end there, x B^(count seg) mod N.
+
+    Segment j of the walk from x fills one slot of Y, from x B^(seg j) mod N, the
+    chi(x) = +1 lanes first; the even and odd steps' digits accumulate apart, and each
+    sum is read off once at the end.  h_theorem1 shows the step exact and the slots
+    apart.  A Y that misses the packed successors raises InternalError.
+    """
+    f = (base * n).bit_length() + n.bit_length()
+    br = base * -(-(1 << f) // n)
+    words = -(-(f + base.bit_length()) // 64)  # a slot is W = 64 words >= F + bits(B) bits
+    step = pow(base, seg, n)
+    starts, ends, last = {1: [], -1: []}, {1: [], -1: []}, []
+    for x in xs:
+        y = x
+        for _ in range(count):
+            starts[vals[x]].append(y)
+            y = y * step % n
+            ends[vals[x]].append(y)
+        last.append(y)
+    lanes = count * len(xs)
+    plus = words * len(starts[1])
+
+    def pack(ys):
+        slots = array("Q", bytes(8 * words * lanes))
+        slots[::words] = array("Q", ys)
+        return int.from_bytes(slots, byteorder)
+
+    def signed(acc):  # sum of the +1 lanes' slots less the -1 lanes'
+        slots = array("Q", acc.to_bytes(8 * words * lanes, byteorder))
+        return sum(slots[:plus]) - sum(slots[plus:])
+
+    y = pack(starts[1] + starts[-1])
+    m = pack([(1 << (base - 1).bit_length()) - 1] * lanes)
+    even = odd = 0
+    for _ in range(seg // 2):
+        a = (y * br >> f) & m
+        y = base * y - a * n
+        even += a
+        a = (y * br >> f) & m
+        y = base * y - a * n
+        odd += a
+    if y != pack(ends[1] + ends[-1]):
+        raise InternalError(f"{where}: {lanes} lanes of {seg} digits missed their ends")
+    return signed(even) + s * signed(odd), last
+
+
 def h_theorem1(disc: Discriminant, base: int) -> HResult:
     """h as the sum of the contributions of all cycles of the base-B map.
 
@@ -360,6 +420,31 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     _radix_sum packs the A into slots and reads their signed digit sums
     through bit masks.  Every walk at any other base steps.
 
+    Packed lanes.  When the walks cover phi(N)/2 >= LANE_DIGITS digits in
+    all and each is at least T = 2 isqrt(phi(N)/2) long, _lanes
+    cuts each walk into count = steps // T segments of T digits (T even).
+    Segment j of the walk from x starts at x B^(Tj) mod N and holds one
+    slot of W bits in an int Y; its i-th digit is signed chi(x) s^i, since
+    s^(Tj) = 1.  One step is A = (Y c R >> F) & M, Y = c Y - A N with
+    c = B, F = bits(cN) + bits(N), R = ceil(2^F/N) and M the bits of c - 1
+    in every slot:
+      * exact: with u = c y < cN and R = (2^F + r)/N, 0 <= r < N, u R / 2^F
+        = u/N + u r/(N 2^F), and the excess is below cN/2^F < 1/N as 2^F >
+        cN^2; u/N is at least 1/N below the next integer, so the floor is
+        floor(u/N) = a(y), the next digit;
+      * no carry: y c R < (c + 1) 2^F <= 2^(F + bits(c)) <= 2^W, so each
+        slot's product stays in it, and past >> F the next slot's low bits
+        land at bit W - F >= bits(c), outside M; the sums of T/2 < 2^12
+        digits (N <= MAX_N) below MAX_BASE that the even and odd steps'
+        accumulators keep per slot stay below 2^64;
+      * no borrow: 0 <= c y - a N < N in every slot, so c Y - A N moves
+        each slot to its successor alone.
+    After T steps Y must equal the packed successors x B^(T(j+1)), which
+    come from pow(B, T, N), so a wrong start fails that one comparison.
+    The steps % T digits left in each walk step in blocks from its last
+    segment's end, starting on sign +1 (T is even), and must close on x
+    (N - x when -C = C) as any walk does.
+
     One start per class.  A walk of w steps covers a class C u -C (C alone
     when -C = C) of 2w units, so there are W = phi(N)/(2w) classes: the
     cosets of H = <B, -1> in the units G mod N.  _tower peels N = M_0 ->
@@ -387,9 +472,10 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     chi(B) = -1 needs e even; -1 a power of B needs chi(B) = -1 and e/2
     odd; phi(N) = 2w prod_i r_i (the cycle count), so the W starts cover
     every unit once; every walk closes: each stepped one lands on x (on
-    N - x when -C = C), and at a radix base Q's division leaves no
-    remainder; the final division is exact with a positive quotient; a
-    decimal signal (the context is exact or it traps).
+    N - x when -C = C), every lane on its successor, and at a radix base
+    Q's division leaves no remainder; the final division is exact with a
+    positive quotient; a decimal signal (the context is exact or it
+    traps).
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -419,14 +505,19 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         raw = (base - 1) * sign_sum * (len(groups[1]) - len(groups[-1]))
         raw -= 2 * _radix_sum(base, n, steps, s, self_paired, groups, where)
     else:
-        raw = 0
+        xs = ends = list(_products(n, box))  # the walk from x steps on from its ends entry
+        raw, left = 0, steps
+        seg = 2 * isqrt(steps * walks)  # even: each lane's digits start on sign +1
+        if steps * walks >= LANE_DIGITS and steps >= seg:
+            count, left = divmod(steps, seg)
+            total, ends = _lanes(base, n, s, seg, count, xs, vals, where)
+            raw = -2 * total
         k, tab = _digit_table(base, s)
         bk, sk = base**k, s**k  # sk: the sign each odd-numbered block starts on
-        blocks, rest = divmod(steps, k)
+        blocks, rest = divmod(left, k)
         pairs, odd = divmod(blocks, 2)
         br, tail = base**rest, s ** (k * blocks + k - rest)  # the short last block
-        for x in _products(n, box):
-            y = x
+        for x, y in zip(xs, ends):
             t = u = 0
             for _ in range(pairs):
                 y *= bk

@@ -13,7 +13,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -43,7 +43,7 @@ from quadclass.classnum import (
 )
 from quadclass.discriminant import Case, QuadChar, from_discriminant, quad_char
 from quadclass.errors import InternalError, ModulusTooLargeError
-from quadclass.verify import DEFAULT_BASES, verify_discriminant
+from quadclass.verify import DEFAULT_BASES, verify_discriminant, verify_range
 
 from helpers import (
     dirichlet_sum_by_x,
@@ -192,6 +192,128 @@ def test_digit_tables_match_long_division(base, sign):
     for i, y in enumerate(period.cycle):
         want = sum(sign**j * d for j, d in enumerate(digits[i : i + k]))
         assert tab[bk * y // n] == want, (base, sign, y)
+
+
+STEPPED = (3, 5, 6, 7, 9, 11, 12, 13)  # the bases with no C radix
+
+
+def _record_lanes(monkeypatch) -> list[tuple]:
+    """Route classnum._lanes through a recorder of its (B, N, s, seg, count, walks)."""
+    calls = []
+    real = classnum._lanes
+
+    def recording(base, n, s, seg, count, xs, *rest):
+        calls.append((base, n, s, seg, count, len(xs)))
+        return real(base, n, s, seg, count, xs, *rest)
+
+    monkeypatch.setattr(classnum, "_lanes", recording)
+    return calls
+
+
+def _lanes_and_steps(monkeypatch, calls, disc, base, lanes_at):
+    """h_theorem1's raw sum in lanes, at LANE_DIGITS = lanes_at, and with every walk
+    stepped alone; the shape of the one lane call that calls records."""
+    calls.clear()
+    monkeypatch.setattr(classnum, "LANE_DIGITS", lanes_at)
+    packed = h_theorem1(disc, base).raw_sum
+    monkeypatch.setattr(classnum, "LANE_DIGITS", disc.N)  # phi(N)/2 < N: nothing takes lanes
+    stepped = h_theorem1(disc, base).raw_sum
+    assert len(calls) == 1, (disc.D, base, calls)
+    return packed, stepped, calls[0]
+
+
+def test_lanes_match_block_stepping_below_the_constant(monkeypatch):
+    # With LANE_DIGITS = 0 every (D, B) whose walks are at least a segment long
+    # takes lanes: each shape of walk, against the same walks stepped alone.
+    calls = _record_lanes(monkeypatch)
+    kinds = set()
+    for disc in fundamentals_with_n_up_to(1500):
+        n = disc.N
+        char = quad_char(disc)
+        vals = char.values()
+        for base in STEPPED:
+            if gcd(base, n) > 1:
+                continue
+            e, self_paired, box = classnum._tower(base, n, "")
+            steps = e // 2 if self_paired else e
+            starts = list(classnum._products(n, box))
+            if steps < 2 * isqrt(steps * len(starts)):
+                continue
+            packed, stepped, (_, _, s, seg, count, walks) = _lanes_and_steps(
+                monkeypatch, calls, disc, base, 0)
+            assert packed == stepped == h_dirichlet(disc).h * (base - s), (disc.D, base)
+            assert (count, walks) == (steps // seg, len(starts)), (disc.D, base)
+            plus = sum(vals[x] == 1 for x in starts)
+            kinds.add((s, self_paired))
+            kinds.add("steps % seg > 0" if steps % seg else "steps % seg = 0")
+            if plus >= 2 and len(starts) - plus >= 2 and not is_prime(n):
+                kinds.add((s, "several walks of each sign, N composite"))
+    assert kinds == {(1, False), (-1, False), (-1, True), "steps % seg > 0", "steps % seg = 0",
+                     (1, "several walks of each sign, N composite"),
+                     (-1, "several walks of each sign, N composite")}
+
+
+@pytest.mark.parametrize(
+    "D, base, walks, plus",
+    [
+        # 33463 = 109 * 307: chi(5) = -1, -C != C, 9 walks of each sign of chi(x);
+        # chi(12) = -1, -C = C, 18 of each; chi(7) = +1, 18 of each.
+        (-33463, 5, 18, 9), (-33463, 12, 36, 18), (-33463, 7, 36, 18),
+        # Prime N = 300007: chi(13) = -1, -C = C, 7 walks; 67 and 4099 step one digit a
+        # block, each in lanes of one 64-bit word (4099: F + bits(B) = 63).
+        (-300007, 13, 7, 4), (-300007, 67, 1, 1), (-300007, 4099, 1, 1),
+        # 4099 at N = 1000003 needs 65 bits a slot: two words.
+        (-1000003, 4099, 1, 1),
+        # N = 9999991, next to MAX_N: chi(3) = -1 with 21 walks, chi(13) = +1 with one.
+        (-9999991, 3, 21, 11), (-9999991, 13, 1, 1),
+    ],
+)
+def test_lanes_match_block_stepping_above_the_constant(monkeypatch, D, base, walks, plus):
+    disc = from_discriminant(D)
+    calls = _record_lanes(monkeypatch)
+    try:
+        packed, stepped, (_, n, s, seg, count, got) = _lanes_and_steps(
+            monkeypatch, calls, disc, base, classnum.LANE_DIGITS)
+        assert packed == stepped == h_dirichlet(disc).h * (base - s)
+        assert got == walks and n == disc.N and seg % 2 == 0 and count >= 1
+        _, _, box = classnum._tower(base, n, "")
+        vals = quad_char(disc).values()
+        assert sum(vals[x] for x in classnum._products(n, box)) == plus - (walks - plus)
+    finally:
+        _clear_caches()
+
+
+def test_corrupt_lane_end_is_caught(monkeypatch):
+    # A wrong B^seg (mod N) puts every segment but each walk's first in the wrong
+    # place, so the packed ends miss: in h_theorem1 and, at the first stepped base
+    # B = 3, in the record.
+    D = -300007
+    calls = _record_lanes(monkeypatch)
+    h_theorem1(from_discriminant(D), 3)
+    ((_, n, _, seg, _, _),) = calls
+    real = pow
+
+    def corrupt(base, exp, mod=None):
+        got = real(base, exp, mod)
+        return (got + 1) % n if (exp, mod) == (seg, n) else got
+
+    monkeypatch.setattr(classnum, "pow", corrupt, raising=False)
+    with pytest.raises(InternalError, match=rf"^cycle\[B=13\] at D={D}: .*missed their ends"):
+        h_theorem1(from_discriminant(D), 13)
+    record = verify_discriminant(D)
+    assert not record.passed
+    assert record.error.startswith(f"cycle[B=3] at D={D}: ")
+
+
+def test_sweep_and_girstmair_never_enter_lanes(monkeypatch):
+    # phi(N)/2 <= 2500 in the sweep and (p - 1)/2 <= 3999 for the girstmair primes.
+    def refuse(*args):
+        raise AssertionError("lanes entered")
+
+    monkeypatch.setattr(classnum, "_lanes", refuse)
+    assert classnum.LANE_DIGITS > 8000 // 2
+    assert verify_range(-300, -5).ok
+    assert h_girstmair(7963).h == h_dirichlet(from_discriminant(-7963)).h
 
 
 def test_girstmair_matches_full_period():
