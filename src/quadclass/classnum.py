@@ -259,12 +259,10 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
     and its w digits, leading zeros included, are those of (B^w x - y)/N =
     x Q - [c = -1]; t_x signs the digit i places from the bottom by s^(w-1-i).
     Each group's digits fill the slots of one int: fixed-width bytes in
-    binary (a lone start's x Q - [c = -1] as it is), and in decimal
-    zero-padded digit strings read as hex, a 4-bit nibble a digit.  A slot
-    is whole mask periods, so one repunit mask with a bit at the bottom of
-    every digit (every other one when s = -1) picks bit b of all of them
-    from A >> b (bit 0 from A itself: A >> 0 is a copy), and the sum is m
-    (2m) popcounts, or A's popcount at B = 2 with s = +1.  The
+    binary, and in decimal zero-padded digit strings read as hex, a 4-bit
+    nibble a digit.  A slot is whole mask periods, so one repunit mask with
+    a bit at the bottom of every digit (every other one when s = -1) picks
+    bit b of all of them from A >> b, and the sum is m (2m) popcounts.  The
     decimal context holds the w digits of B^w - 1 (w + 1 of B^w + 1), its
     Emax their exponent, and traps any rounding.  A remainder or a decimal
     signal raises InternalError.
@@ -286,23 +284,23 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
             q, r = divmod((1 << width * w) - c, n)
 
             def pack(xs):
-                if len(xs) == 1:
-                    return xs[0] * q - paired
                 return int.from_bytes(
                     b"".join((x * q - paired).to_bytes(size * width // 8, "big") for x in xs), "big")
 
         if r:
             raise InternalError(f"{where}: the orbits do not close, {base}^{w} - {c} leaves {r} (mod {n})")
-        if period > 1:
-            run = (((1 << unit) - 1) // ((1 << period) - 1)).to_bytes(unit // 8, "big")
-            ones = int.from_bytes(run * (max(map(len, groups.values())) * size * width // unit), "big")
+        run = (((1 << unit) - 1) // ((1 << period) - 1)).to_bytes(unit // 8, "big")
+        ones = int.from_bytes(run * (max(map(len, groups.values())) * size * width // unit), "big")
+
+        def planes(a, low):  # sum of the digits read at the mask bits shifted up by low
+            return sum(((a >> (low + b)) & ones).bit_count() << b for b in range(width))
+
         total = 0
         for chi, xs in groups.items():
             a = pack(xs)
-            t = a.bit_count() if period == 1 else sum(
-                ((a >> b if b else a) & ones).bit_count() << b for b in range(width))
+            t = planes(a, 0)
             if s == -1:
-                odd = sum(((a >> (width + b)) & ones).bit_count() << b for b in range(width))
+                odd = planes(a, width)
                 t = t - odd if w % 2 else odd - t
             total += chi * t
     except DecimalException as exc:
@@ -310,30 +308,31 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
     return total
 
 
-def _lanes(base: int, n: int, s: int, seg: int, count: int, xs: list[int], vals,
+def _lanes(base: int, n: int, s: int, seg: int, count: int, groups: dict[int, list[int]],
            where: str) -> tuple[int, list[int]]:
-    """(total, ends): sum chi(x) t over the first count * seg digits of each walk from x
-    in xs, t their sum signed by s^i, and each walk's end there, x B^(count seg) mod N.
+    """(total, ends): sum chi(x) t over the first count * seg digits of each walk from x,
+    t their sum signed by s^i, and each walk's end there, x B^(count seg) mod N.
 
-    Segment j of the walk from x fills one slot of Y, from x B^(seg j) mod N, the
-    chi(x) = +1 lanes first; the even and odd steps' digits accumulate apart, and each
-    sum is read off once at the end.  h_theorem1 shows the step exact and the slots
-    apart.  A Y that misses the packed successors raises InternalError.
+    groups maps chi(x) to its starts, the +1 starts first, and the walks fill the slots
+    of Y in that order: segment j of the walk from x from x B^(seg j) mod N.  The even
+    and odd steps' digits accumulate apart, and each sum is read off once at the end.
+    h_theorem1 shows the step exact and the slots apart.  A Y that misses the packed
+    successors raises InternalError.
     """
     f = (base * n).bit_length() + n.bit_length()
     br = base * -(-(1 << f) // n)
     words = -(-(f + base.bit_length()) // 64)  # a slot is W = 64 words >= F + bits(B) bits
     step = pow(base, seg, n)
-    starts, ends, last = {1: [], -1: []}, {1: [], -1: []}, []
-    for x in xs:
-        y = x
-        for _ in range(count):
-            starts[vals[x]].append(y)
-            y = y * step % n
-            ends[vals[x]].append(y)
-        last.append(y)
-    lanes = count * len(xs)
-    plus = words * len(starts[1])
+    starts, ends, last = [], [], []
+    for xs in groups.values():
+        for x in xs:
+            for _ in range(count):
+                starts.append(x)
+                x = x * step % n
+                ends.append(x)
+            last.append(x)
+    lanes = len(starts)
+    plus = words * count * len(groups[1])
 
     def pack(ys):
         slots = array("Q", bytes(8 * words * lanes))
@@ -344,7 +343,7 @@ def _lanes(base: int, n: int, s: int, seg: int, count: int, xs: list[int], vals,
         slots = array("Q", acc.to_bytes(8 * words * lanes, byteorder))
         return sum(slots[:plus]) - sum(slots[plus:])
 
-    y = pack(starts[1] + starts[-1])
+    y = pack(starts)
     m = pack([(1 << (base - 1).bit_length()) - 1] * lanes)
     even = odd = 0
     for _ in range(seg // 2):
@@ -354,7 +353,7 @@ def _lanes(base: int, n: int, s: int, seg: int, count: int, xs: list[int], vals,
         a = (y * br >> f) & m
         y = base * y - a * n
         odd += a
-    if y != pack(ends[1] + ends[-1]):
+    if y != pack(ends):
         raise InternalError(f"{where}: {lanes} lanes of {seg} digits missed their ends")
     return signed(even) + s * signed(odd), last
 
@@ -470,8 +469,8 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     gamma_i^(k_i/f) != 1 for each prime f | r_i, so gamma_i generates
     H(i)/H(i-1) (the kernel's part in H mod M_(i-1) has order k_i/r_i);
     chi(B) = -1 needs e even; -1 a power of B needs chi(B) = -1 and e/2
-    odd; phi(N) = 2w prod_i r_i (the cycle count), so the W starts cover
-    every unit once; every walk closes: each stepped one lands on x (on
+    odd; phi(N) = 2w W over the W starts walked (the cycle count), so they
+    cover every unit once; every walk closes: each stepped one lands on x (on
     N - x when -C = C), every lane on its successor, and at a radix base
     Q's division leaves no remainder; the final division is exact with a
     positive quotient; a decimal signal (the context is exact or it
@@ -492,26 +491,20 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     if self_paired and half % 2 == 0:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
     steps = half if self_paired else e
-    walks = 1
-    for _, r in box:
-        walks *= r
-    if phi_with_primes(n)[0] != 2 * steps * walks:
-        raise InternalError(f"{where}: cycle count phi({n}) is not 2 * {steps} * {walks}")
-    sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
+    groups = {1: [], -1: []}  # the starts by chi(x), the +1 starts first
+    for x in _products(n, box):
+        groups[vals[x]].append(x)
+    xs = groups[1] + groups[-1]
+    if phi_with_primes(n)[0] != 2 * steps * len(xs):
+        raise InternalError(f"{where}: cycle count phi({n}) is not 2 * {steps} * {len(xs)}")
     if base in (2, 4, 8, 10):  # a C radix: one division for every walk
-        groups = {1: [], -1: []}
-        for x in _products(n, box):
-            groups[vals[x]].append(x)
-        raw = (base - 1) * sign_sum * (len(groups[1]) - len(groups[-1]))
-        raw -= 2 * _radix_sum(base, n, steps, s, self_paired, groups, where)
+        total = _radix_sum(base, n, steps, s, self_paired, groups, where)
     else:
-        xs = ends = list(_products(n, box))  # the walk from x steps on from its ends entry
-        raw, left = 0, steps
-        seg = 2 * isqrt(steps * walks)  # even: each lane's digits start on sign +1
-        if steps * walks >= LANE_DIGITS and steps >= seg:
+        total, left, ends = 0, steps, xs  # the walk from x steps on from its ends entry
+        seg = 2 * isqrt(steps * len(xs))  # even: each lane's digits start on sign +1
+        if steps * len(xs) >= LANE_DIGITS and steps >= seg:
             count, left = divmod(steps, seg)
-            total, ends = _lanes(base, n, s, seg, count, xs, vals, where)
-            raw = -2 * total
+            total, ends = _lanes(base, n, s, seg, count, groups, where)
         k, tab = _digit_table(base, s)
         bk, sk = base**k, s**k  # sk: the sign each odd-numbered block starts on
         blocks, rest = divmod(left, k)
@@ -536,7 +529,9 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
             y %= n
             if y != (n - x if self_paired else x):
                 raise InternalError(f"{where}: period {e} did not close the orbit of {x}")
-            raw -= vals[x] * (2 * t - (base - 1) * sign_sum)
+            total += vals[x] * t
+    sign_sum = steps % 2 if s == -1 else steps  # sum of chi(B)^i over i < steps
+    raw = (base - 1) * sign_sum * (len(groups[1]) - len(groups[-1])) - 2 * total
     return _exact_h(disc, raw, base - s, f"cycle[B={base}]", raw)
 
 

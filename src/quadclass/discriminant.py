@@ -118,12 +118,11 @@ def from_generator(m: int) -> Discriminant:
     """Discriminant of the field generated by sqrt(m), m < 0 squarefree."""
     if m >= 0:
         raise InvalidGeneratorError(f"need m < 0, got {m}")
-    check_size(-m if m % 4 == 1 else -4 * m)
+    D = m if m % 4 == 1 else 4 * m
+    check_size(-D)
     if not is_squarefree(-m):
         raise InvalidGeneratorError(f"{m} is not squarefree")
-    if m in (-1, -3):
-        raise ExcludedDiscriminantError(f"m={m} gives D in {{-3, -4}}, excluded")
-    return _classify(m)
+    return from_discriminant(D)
 
 
 def from_discriminant(D: int) -> Discriminant:
@@ -136,7 +135,7 @@ def from_discriminant(D: int) -> Discriminant:
     if D % 4 == 1:
         if not is_squarefree(-D):
             raise NotFundamentalError(f"D={D} is not squarefree")
-        return _classify(D)
+        return Discriminant(D, -D, D, Case.ODD)
     if D % 4 != 0:
         raise NotFundamentalError(f"D={D} is neither 1 nor 0 mod 4")
     m = D // 4
@@ -144,19 +143,9 @@ def from_discriminant(D: int) -> Discriminant:
         raise NotFundamentalError(f"D={D} has D/4 = 1 (mod 4), so D/4 is the discriminant")
     if not is_squarefree(-m):
         raise NotFundamentalError(f"D={D} has D/4 not squarefree")
-    return _classify(m)
-
-
-def _classify(m: int) -> Discriminant:
-    """The discriminant generated by m, already checked: m < 0 squarefree, not -1 or -3."""
-    if m % 4 == 1:
-        return Discriminant(m, -m, m, Case.ODD)
-    if m % 4 == 3:
-        case = Case.D1
-    else:
-        # m even: m = 2n with n odd since m is squarefree.
-        case = Case.D2 if (m // 2) % 4 == 1 else Case.D3
-    return Discriminant(4 * m, -4 * m, m, case)
+    # m = 3 (mod 4), or m = 2n with n odd since m is squarefree
+    case = Case.D1 if m % 4 == 3 else Case.D2 if (m // 2) % 4 == 1 else Case.D3
+    return Discriminant(D, -D, m, case)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,34 @@ class TestClassnum:
         assert main(["classnum", "-D", "-15", "-B", "3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_mismatch_exit_code(self, capsys, monkeypatch):
+        import quadclass.verify as V
+
+        real = V.h_from_ek
+
+        def skewed(disc, base):
+            res = real(disc, base)
+            return type(res)(res.disc, res.h + 1, res.method, res.raw_sum)
+
+        monkeypatch.setattr(V, "h_from_ek", skewed)
+        assert main(["classnum", "-D", "-23", "-B", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "interval[B=5]" in out
+        assert out.splitlines()[-1] == "agreement: MISMATCH, values [3, 4]"
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        import quadclass.verify as V
+        from quadclass.errors import InternalError
+
+        def broken(disc, base):
+            raise InternalError(f"cycle[B={base}] at D={disc.D}: injected")
+
+        monkeypatch.setattr(V, "h_theorem1", broken)
+        assert main(["classnum", "-D", "-23", "-B", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: cycle[B=5] at D=-23: injected\n"
+        assert "agreement" not in captured.out
+
     def test_tables_counted_in_one_pass(self, capsys, monkeypatch):
         # floor, interval and factored read the E_k tables of every base, all
         # counted by one ek_tables call before the first route runs.

@@ -75,10 +75,11 @@ class TestFromGenerator:
         assert from_generator(-14).D == -56
 
     def test_excluded_generators(self):
-        with pytest.raises(ExcludedDiscriminantError):
-            from_generator(-1)  # D = -4
-        with pytest.raises(ExcludedDiscriminantError):
-            from_generator(-3)  # D = -3
+        # from_discriminant refuses them, with its own message
+        with pytest.raises(ExcludedDiscriminantError, match=r"^D=-4 is excluded \(extra units\)$"):
+            from_generator(-1)
+        with pytest.raises(ExcludedDiscriminantError, match=r"^D=-3 is excluded \(extra units\)$"):
+            from_generator(-3)
 
     def test_invalid_generators(self):
         for m in (0, 5, -4, -12, -9, -75):

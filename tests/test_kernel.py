@@ -10,6 +10,7 @@ and the floor and Dirichlet sums term by term).
 """
 
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -202,9 +203,9 @@ def _record_lanes(monkeypatch) -> list[tuple]:
     calls = []
     real = classnum._lanes
 
-    def recording(base, n, s, seg, count, xs, *rest):
-        calls.append((base, n, s, seg, count, len(xs)))
-        return real(base, n, s, seg, count, xs, *rest)
+    def recording(base, n, s, seg, count, groups, *rest):
+        calls.append((base, n, s, seg, count, len(groups[1]) + len(groups[-1])))
+        return real(base, n, s, seg, count, groups, *rest)
 
     monkeypatch.setattr(classnum, "_lanes", recording)
     return calls
@@ -570,6 +571,42 @@ def test_wrong_period_is_caught(monkeypatch, wrong):
     for D, base in BRANCHES:
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}"):
             h_theorem1(from_discriminant(D), base)
+
+
+@pytest.mark.parametrize(
+    "D, base",
+    [
+        pytest.param(-3315, 2, id="radix"),
+        pytest.param(-3315, 7, id="stepped"),
+        pytest.param(-300007, 13, id="lanes"),  # phi(N)/2 >= LANE_DIGITS
+    ],
+)
+def test_dropped_start_fails_the_cycle_count(monkeypatch, D, base):
+    # One class fewer is walked than the tower counts: every walk still
+    # closes, and only the count of the starts walked tells.
+    real = classnum._products
+    monkeypatch.setattr(classnum, "_products", lambda *args: list(real(*args))[:-1])
+    with pytest.raises(InternalError, match=rf"^cycle\[B={base}\] at D={D}: cycle count"):
+        h_theorem1(from_discriminant(D), base)
+
+
+def test_open_stepped_walk_fails_the_closure_check(monkeypatch):
+    # 3 has order 12 mod 35 and W = 1.  A tower that halves the period and adds
+    # the start N - 1 keeps the cycle count, phi(35) = 2 * 6 * 2, but the walk
+    # of 6 steps from 1 ends at 3^6 = 29, not 1.
+    real = classnum._tower
+
+    def tower(base, n, where):
+        e, self_paired, box = real(base, n, where)
+        return e // 2, False, box + [(n - 1, 2)]
+
+    monkeypatch.setattr(classnum, "_tower", tower)
+    message = "cycle[B=3] at D=-35: period 6 did not close the orbit of 1"
+    with pytest.raises(InternalError, match=rf"^{re.escape(message)}$"):
+        h_theorem1(from_discriminant(-35), 3)
+    assert not verify_discriminant(-35).passed  # B = 2 fails first, at the radix division
+    record = verify_discriminant(-35, (3,))
+    assert not record.passed and record.error == message
 
 
 def test_class_starts_are_one_per_class(monkeypatch):

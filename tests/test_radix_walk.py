@@ -169,8 +169,8 @@ def test_girstmair_primes_at_the_radix_bases():
 
 
 def test_lone_groups_at_the_girstmair_primes(monkeypatch):
-    # A chi group of one start is packed as its own x Q - [c = -1]: the one
-    # walk of a primitive root B, or the lone chi(x) = -1 start when W = 3.
+    # A chi group of one start is packed like any other, into one slot: the
+    # one walk of a primitive root B, or the lone chi(x) = -1 start when W = 3.
     real = classnum._radix_sum
     sizes = []
 

@@ -340,6 +340,28 @@ class TestFailurePath:
         assert "FAIL" in text and "interval_B3" in text
         assert "first failure: D=-23" in text
 
+    def test_wrong_factored_route_is_caught(self, monkeypatch):
+        import quadclass.verify as V
+
+        real = V.h_from_ek_factored
+
+        def skewed(disc, base, b1):
+            res = real(disc, base, b1)
+            if disc.D == -23 and (base, b1) == (6, 3):
+                return type(res)(res.disc, res.h + 1, res.method, res.raw_sum)
+            return res
+
+        monkeypatch.setattr(V, "h_from_ek_factored", skewed)
+        report = verify_range(-30, -5, bases=(2, 6))
+        bad = [r for r in report.records if not r.passed]
+        assert [(r.D, r.factored_ok, r.agree, r.error) for r in bad] == [(-23, False, False, None)]
+        assert all(v == 3 for v in bad[0].formulas.values())
+        line = next(line for line in to_text(report).splitlines() if "D=-23 " in line)
+        assert line.startswith("FAIL") and line.endswith("[factored]")
+        rows = {row["D"]: row for row in csv.DictReader(io.StringIO(to_csv(report)))}
+        assert rows["-23"]["factored_ok"] == "false" and rows["-23"]["passed"] == "false"
+        assert rows["-7"]["factored_ok"] == "true"
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     def test_route_exception_is_a_fail_record(self, monkeypatch, capsys, jobs, error):
