@@ -32,11 +32,12 @@ route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
-h_dirichlet, the reference route, sums by parts, in C, over half a period:
-the same reflection folds it, sum_{x<=N} x chi(x) = sum_{x<N/2} (2x - N)
-chi(x).  A base is checked where it is used, by discriminant.check_base
-(2 <= B <= MAX_BASE): in each route's coprimality check, and in ek_tables
-for each base it counts.
+h_dirichlet, the reference route, is folded onto half a period by the same
+reflection, sum_{x<=N} x chi(x) = sum_{x<N/2} (2x - N) chi(x), and read off
+bit planes: the half table as two ints (chi = +1, -1), whose popcounts, masked
+by the positions with bit j set, give sum x chi(x).  A base is checked where
+it is used, by discriminant.check_base (2 <= B <= MAX_BASE): in each route's
+coprimality check, and in ek_tables for each base it counts.
 
 Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
@@ -47,7 +48,6 @@ from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, Context, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import mul
 from sys import byteorder
@@ -143,12 +143,23 @@ def h_dirichlet(disc: Discriminant) -> HResult:
     """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route, folded onto half a period:
     chi(N - x) = -chi(x), and chi(N/2) = 0 for even N, so the sum is
     sum_{x<N/2} (2x - N) chi(x) = 2W - N S, with S = sum chi(x) and W = sum x chi(x) over
-    x < m = N // 2 + 1.  W is summed exactly by parts in C: with S_k = chi(0) + ... + chi(k),
-    W = m S - sum_{k<m} S_k."""
+    x < m = N // 2 + 1.  Both are popcounts of bit planes: the half table read as two
+    m-bit ints pos and neg (chi = +1, -1), x at bit y = m - 1 - x, give S and, with P_j
+    the y < m that have bit j set, W = (m - 1) S - sum_j 2^j (|pos & P_j| - |neg & P_j|)."""
     m = disc.N // 2 + 1
-    half = quad_char(disc).values()[:m]
-    s = sum(half)
-    raw = 2 * (m * s - sum(accumulate(half))) - disc.N * s
+    half = memoryview(quad_char(disc).values())[:m].tobytes()
+    pos = int(half.translate(bytes.maketrans(b"\0\1\377", b"010")), 2)
+    neg = int(half.translate(bytes.maketrans(b"\0\1\377", b"001")), 2)
+    s = pos.bit_count() - neg.bit_count()
+    sy, w = 0, 1
+    while w < m:
+        plane, period = ((1 << w) - 1) << w, 2 * w
+        while period < m:
+            plane |= plane << period
+            period *= 2
+        sy += w * ((pos & plane).bit_count() - (neg & plane).bit_count())
+        w *= 2
+    raw = 2 * ((m - 1) * s - sy) - disc.N * s
     return _exact_h(disc, -raw, disc.N, "dirichlet", raw)
 
 

@@ -372,13 +372,17 @@ def test_dirichlet_sum_by_parts_matches_per_x_sum():
 
 def test_folded_dirichlet_sum_matches_per_x_sum():
     # The fold reads chi(x) for x < N/2 only: odd N (floor(N/2) odd, as N = 3 mod 4) and
-    # even N (N/2 even), a large prime and a large composite odd N, each even shape, -1000003.
+    # even N (N/2 even), a large prime and a large composite odd N, each even shape, -1000003,
+    # and the Mersenne primes 2^13 - 1, 2^17 - 1 and 2^19 - 1, whose m = N // 2 + 1 is a power
+    # of two, so the bit planes' doubled masks end flush at m.
     large = {-300007: Case.ODD, -300003: Case.ODD, -400004: Case.D1, -400024: Case.D2,
-             -400008: Case.D3, -1000003: Case.ODD}
+             -400008: Case.D3, -1000003: Case.ODD, -8191: Case.ODD, -131071: Case.ODD,
+             -524287: Case.ODD}
     discs = [*fundamentals_with_n_up_to(200), *map(from_discriminant, large)]
     assert {(d.N % 2, d.N // 2 % 2) for d in discs} == {(1, 1), (0, 0)}
     assert [d.case for d in discs[-len(large):]] == list(large.values())
     assert not is_prime(300003) and is_prime(300007) and is_prime(1000003)
+    assert [d.N // 2 + 1 for d in discs[-3:]] == [1 << 12, 1 << 16, 1 << 18]
     for disc in discs:
         want = dirichlet_sum_by_x(quad_char(disc).values(), disc.N)
         assert h_dirichlet(disc).raw_sum == want, disc.D
