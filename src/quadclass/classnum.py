@@ -25,10 +25,10 @@ in a slot of whole 64-bit words of one int (_lanes): one fixed-point
 divide (Granlund and Montgomery) emits a digit in every slot, exactly,
 with no carry or borrow between slots, and the packed ends are checked
 against each segment's successor in one comparison.  The classes are the
-cosets of <B, -1> in the units mod N; the walks start at products of the
-generators of a chain of cyclic kernels, one factor of N at a time (the
-powers of a primitive root for prime N), and mark nothing.  The girstmair
-route is its one-orbit case.
+cosets of <B, -1> in the units mod N; _tower lists one start per class as
+it peels N one factor at a time, multiplying its list by the powers of each
+cyclic kernel's generator (the powers of a primitive root for prime N), so
+the walks mark nothing.  The girstmair route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
 in one pass over their merged cuts, so each route costs O(B) once it exists.
@@ -99,7 +99,8 @@ __all__ = [
 ]
 
 # The most entries a stored digit-sum table holds per (B, chi(B)): h_theorem1
-# steps in blocks B^k <= MAX_BLOCK, or in one-digit blocks (range(B)) past it.
+# steps in blocks B^k <= MAX_BLOCK, and every B with B^2 > MAX_BLOCK in
+# one-digit blocks read from range(B).
 MAX_BLOCK = 4096
 # The fewest digits, phi(N)/2, the walks of one (D, B) cover before h_theorem1 steps them
 # in packed lanes (_lanes) at a base with no C radix; below it every walk steps alone.
@@ -189,23 +190,23 @@ def _digit_table(base: int, s: int) -> tuple[int, tuple[int, ...] | range]:
     k is the largest with B^k <= MAX_BLOCK, at either sign; tab[A] =
     sum_j s^j d_j over the k base-B digits d_0 d_1 ... d_(k-1) of A, most
     significant first, so a block that starts on the sign s^k = -1 (s = -1,
-    k odd) adds -tab[A].  B > MAX_BLOCK gets k = 1 and tab = range(B).
+    k odd) adds -tab[A].  k = 1 is tab = range(B), and each further digit d_k
+    turns every entry v into the B entries v + s^k d_k, so every B with B^2 >
+    MAX_BLOCK keeps range(B), which stores nothing.
     """
-    if base > MAX_BLOCK:
-        return 1, range(base)
-    k = 1
+    k, tab = 1, range(base)
     while base ** (k + 1) <= MAX_BLOCK:
+        sg = s**k
+        tab = tuple([v + sg * d for v in tab for d in range(base)])
         k += 1
-    tab = [0]
-    for j in range(k):
-        sg = s**j
-        tab = [v + sg * d for v in tab for d in range(base)]
-    return k, tuple(tab)
+    return k, tab
 
 
-def _tower(base: int, n: int, where: str) -> tuple[int, bool, list[tuple[int, int]]]:
-    """(e, self_paired, box) from h_theorem1's tower: B's order mod N, whether -1 is a
-    power of B mod N, and the (gamma_i, r_i) with r_i > 1, from the last step back."""
+def _tower(base: int, n: int, where: str) -> tuple[int, bool, list[int]]:
+    """(e, self_paired, starts) from h_theorem1's tower: B's order mod N, whether -1 is a
+    power of B mod N, and one start per class.  The starts begin as [1], and each step
+    with r_i > 1 replaces them by their products with gamma_i^j (mod N), j < r_i, the
+    earlier steps' j running fastest."""
     _, phi_primes, primes = phi_with_primes(n)
     two = n & -n  # the 2-part of N: 1, 4 or 8
     # (d, q, part, k, g) per step M -> M/d: q the prime power of M that shrinks, part
@@ -216,7 +217,7 @@ def _tower(base: int, n: int, where: str) -> tuple[int, bool, list[tuple[int, in
         steps.append((4, 4, two, 2, two - 1))
     if two == 8:
         steps.append((2, 8, 8, 2, 5))
-    box = []
+    starts = [1]
     m = order = size = 1  # M_r = 1, where ord(B) = |H| = 1
     for d, q, part, k, g in steps:
         m *= d
@@ -241,23 +242,11 @@ def _tower(base: int, n: int, where: str) -> tuple[int, bool, list[tuple[int, in
             if r % p == 0 and pow(gamma, k // p, n) == 1:
                 raise InternalError(
                     f"{where}: start {gamma} misses classes, {gamma}^{k // p} = 1 (mod {n})")
-        box.append((gamma, r))
-    return order, minus, box
-
-
-def _products(n: int, box: list[tuple[int, int]]):
-    """prod gamma^j (mod N) over j < r for each (gamma, r) in box, 1 first, box[0]'s j
-    fastest: one generator per factor, stepping its gamma from each start of the next."""
-    def powers(starts, gamma, r):
-        for x in starts:
-            for _ in range(r):
-                yield x
-                x = x * gamma % n
-
-    starts = (1,)
-    for gamma, r in reversed(box):
-        starts = powers(starts, gamma, r)
-    return starts
+        powers = [1]
+        for _ in range(r - 1):
+            powers.append(powers[-1] * gamma % n)
+        starts = [x * c % n for c in powers for x in starts]
+    return order, minus, starts
 
 
 def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int, list[int]],
@@ -467,12 +456,14 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     power of gamma_i mod M_(i-1).  So H(i)/H(i-1) is cyclic, generated by
     gamma_i, of order r_i = k_i |H mod M_i| / |H mod M_(i-1)|, as |H(i)| =
     |H mod M_i| phi(N)/phi(M_i); |H mod M| is ord_M(B), doubled unless -1
-    is a power of B mod M.  Hence the box prod_i gamma_i^(j_i), j_i < r_i,
-    is one unit per coset of H: one start per class.  ord_M(B) is the lcm
-    of B's orders mod the prime powers of M (the CRT), one more each step,
-    so the last step gives e and, by its -1 decision at M_0 = N, whether
-    -C = C.  Prime N is one step, gamma = g and r = W; at W = 1 every r_i
-    is 1, the one walk starts at 1 and no root is searched.
+    is a power of B mod M.  Hence the products prod_i gamma_i^(j_i), j_i <
+    r_i, are one unit per coset of H: one start per class.  _tower returns
+    them as it goes, from [1], each step with r_i > 1 replacing its list by
+    the list times gamma_i^j for j < r_i.  ord_M(B) is the lcm of B's orders
+    mod the prime powers of M (the CRT), one more each step, so the last step
+    gives e and, by its -1 decision at M_0 = N, whether -C = C.  Prime N is
+    one step, gamma = g and r = W; at W = 1 every r_i is 1, the one walk
+    starts at 1 and no root is searched.
 
     Checks, each raising InternalError: each order o mod a prime power q
     has o | k_i, B^o = 1 and B^(o/f) != 1 (mod q) for each prime f | o, so
@@ -493,7 +484,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     n = disc.N
     s = char.eval(base)
     where = f"cycle[B={base}] at D={disc.D}"
-    e, self_paired, box = _tower(base, n, where)
+    e, self_paired, starts = _tower(base, n, where)
     if s == -1 and e % 2:
         raise InternalError(f"{where}: chi(B) = -1 needs an even period, got {e}")
     half = e // 2
@@ -503,7 +494,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
         raise InternalError(f"{where}: B^{half} = -1 (mod {n}) needs {half} odd")
     steps = half if self_paired else e
     groups = {1: [], -1: []}  # the starts by chi(x), the +1 starts first
-    for x in _products(n, box):
+    for x in starts:
         groups[vals[x]].append(x)
     xs = groups[1] + groups[-1]
     if phi_with_primes(n)[0] != 2 * steps * len(xs):

@@ -19,12 +19,12 @@ number route shares: the table of chi_D over one period, built once per D
 as a product of periodic rows (the Jacobi symbol factored into Legendre
 rows, times the chi4/chi8 row), and the EkTable of counts of chi = +1, -1
 in the B pieces of (0, N) per (D, B), both counted off that table in one
-pass over the cuts of all the bases asked for at once.  The merged order of
-those cuts depends only on the set of bases, never on N, so it is a cached
-plan (_cut_plan) and a D only scales its integer keys.  Single values
-are read from the table too.  The formula above, evaluated pointwise through
-quadratic reciprocity, is the tests' independent oracle.  quad_char keeps
-the QuadChar of the last D.  check_size and check_base refuse an N above
+pass over the cuts of all the bases asked for at once, a lone base too.  The
+merged order of those cuts depends only on the set of bases, never on N, so
+it is a cached plan (_cut_plan) and a D only scales its integer keys.  Single
+values are read from the table too.  The formula above, evaluated pointwise
+through quadratic reciprocity, is the tests' independent oracle.  quad_char
+keeps the QuadChar of the last D.  check_size and check_base refuse an N above
 MAX_N and a base outside 2..MAX_BASE before any table or cut list exists.
 """
 
@@ -218,14 +218,14 @@ class QuadChar:
         """The EkTables at bases, in their order, counting those not kept yet in one pass.
 
         pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  Every
-        new base is checked first (check_base).  One new base counts the bytes 1 and 255
-        (chi = -1) between its own cuts.  Several take the points of their _cut_plan (kept
-        when it covers at most MAX_PLAN_CUTS cuts), count the fine pieces between those
-        points, and each base takes differences of the running totals at its own indices;
-        a repeated point makes an empty piece, which counts 0.  The cut kN/B is an integer
-        exactly when k is a multiple of B/g, g = gcd(B, N); such a cut x with chi(x) != 0
-        would lie on both sides, so it raises InternalError before any base is kept.  N/4,
-        a cut of even D at B = 4 and 12, has chi = 0.
+        new base is checked first (check_base).  The new bases, one or several, take the
+        points of their _cut_plan (kept when it covers at most MAX_PLAN_CUTS cuts), count
+        the bytes 1 and 255 (chi = -1) in the fine pieces between those points, and each
+        base takes differences of the running totals at its own indices; a repeated point
+        makes an empty piece, which counts 0.  The cut kN/B is an integer exactly when k
+        is a multiple of B/g, g = gcd(B, N); such a cut x with chi(x) != 0 would lie on
+        both sides, so it raises InternalError before any base is kept.  N/4, a cut of
+        even D at B = 4 and 12, has chi = 0.
         """
         new = [b for b in dict.fromkeys(bases) if b not in self._counts]
         if new:
@@ -239,19 +239,15 @@ class QuadChar:
                             f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {c}"
                         )
             data = memoryview(vals)[1:].tobytes()  # data[a:b] is chi(a + 1), ..., chi(b)
-            if len(new) == 1:
-                (base,) = new
-                counts = {base: _piece_counts(data, [k * n // base for k in range(base + 1)])}
-            else:
-                plan = _cut_plan if sum(new) + len(new) <= MAX_PLAN_CUTS else _cut_plan.__wrapped__
-                keys, size, at = plan(tuple(sorted(new)))
-                pieces = _piece_counts(data, [key * n // size for key in keys])
-                totals = [tuple(accumulate(p, initial=0)) for p in pieces]
-                counts = {}
-                for base in new:
-                    ends = [at[base](to) for to in totals]  # the running totals at B's cuts
-                    counts[base] = [tuple(map(sub, e[1:], e)) for e in ends]
-            for base, (pos, neg) in counts.items():
+            plan = _cut_plan if sum(new) + len(new) <= MAX_PLAN_CUTS else _cut_plan.__wrapped__
+            keys, size, at = plan(tuple(sorted(new)))
+            points = [key * n // size for key in keys]
+            totals = [  # running counts of the bytes 1 and 255 (chi = -1) over the pieces
+                tuple(accumulate(map(data.count, repeat(c), points, points[1:]), initial=0))
+                for c in (1, 255)
+            ]
+            for base in new:
+                pos, neg = [tuple(map(sub, e[1:], e)) for e in map(at[base], totals)]
                 self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
         return [self._counts[b] for b in bases]
 
@@ -262,15 +258,9 @@ class QuadChar:
 MAX_PLAN_CUTS = 4096
 
 
-def _piece_counts(data: bytes, points: list[int]) -> list[tuple[int, ...]]:
-    """The counts of the bytes 1 and 255 (chi = -1) of data in each piece
-    (points[i], points[i + 1]]; an empty piece, from a repeated point, counts 0."""
-    return [tuple(map(data.count, repeat(c), points, points[1:])) for c in (1, 255)]
-
-
 @lru_cache(maxsize=64)
 def _cut_plan(bases: tuple[int, ...]) -> tuple[list[int], int, dict[int, itemgetter]]:
-    """(keys, L, at) for two or more distinct ascending bases, L = lcm(bases).
+    """(keys, L, at) for one or more distinct ascending bases, L = lcm(bases).
 
     The cut kN/B of every base is the key k (L/B) scaled by N/L, and floor(key N / L)
     is monotone in the key, so the sorted keys give the merged order of the cuts at

@@ -14,7 +14,7 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import pytest
 
@@ -109,12 +109,11 @@ def test_orbit_walk_matches_cycle_contributions():
 
 
 def test_orbit_walk_without_digit_tables():
-    # B^2 > MAX_BLOCK: B = 67 and 101 step one digit a block at either sign,
-    # read from a stored table, and B = 4099 > MAX_BLOCK reads its one-digit
-    # blocks from range(B), which stores nothing.
+    # B^2 > MAX_BLOCK: B = 67, 101 and 4099 step one digit a block at either
+    # sign, read from range(B), which stores nothing.
     for s in (1, -1):
         assert classnum._digit_table(4099, s) == (1, range(4099))
-        assert isinstance(classnum._digit_table(67, s)[1], tuple)
+        assert classnum._digit_table(67, s) == (1, range(67))
     kinds = set()
     for disc in fundamentals_with_n_up_to(500):
         char = quad_char(disc)
@@ -235,9 +234,8 @@ def test_lanes_match_block_stepping_below_the_constant(monkeypatch):
         for base in STEPPED:
             if gcd(base, n) > 1:
                 continue
-            e, self_paired, box = classnum._tower(base, n, "")
+            e, self_paired, starts = classnum._tower(base, n, "")
             steps = e // 2 if self_paired else e
-            starts = list(classnum._products(n, box))
             if steps < 2 * isqrt(steps * len(starts)):
                 continue
             packed, stepped, (_, _, s, seg, count, walks) = _lanes_and_steps(
@@ -277,9 +275,9 @@ def test_lanes_match_block_stepping_above_the_constant(monkeypatch, D, base, wal
             monkeypatch, calls, disc, base, classnum.LANE_DIGITS)
         assert packed == stepped == h_dirichlet(disc).h * (base - s)
         assert got == walks and n == disc.N and seg % 2 == 0 and count >= 1
-        _, _, box = classnum._tower(base, n, "")
+        starts = classnum._tower(base, n, "")[2]
         vals = quad_char(disc).values()
-        assert sum(vals[x] for x in classnum._products(n, box)) == plus - (walks - plus)
+        assert sum(vals[x] for x in starts) == plus - (walks - plus)
     finally:
         _clear_caches()
 
@@ -533,7 +531,7 @@ def test_girstmair_works_out_each_order_once(monkeypatch):
 def test_tower_against_sympy_orders():
     # What the tower alone now decides, against an oracle that shares none of
     # it: e is B's order mod N, -1 is a power of B mod N exactly when
-    # B^(e/2) = -1, and the box holds one start per coset of <B, -1>.
+    # B^(e/2) = -1, and it returns one start per coset of <B, -1>.
     from sympy import n_order, totient
 
     kinds = set()
@@ -543,12 +541,12 @@ def test_tower_against_sympy_orders():
         for base in [*BASES, 17, 67]:
             if gcd(base, n) > 1:
                 continue
-            e, self_paired, box = classnum._tower(base, n, "")
+            e, self_paired, starts = classnum._tower(base, n, "")
             order = n_order(base, n)
             paired = order % 2 == 0 and pow(base, order // 2, n) == n - 1
             assert (e, self_paired) == (order, paired), (n, base)
             walks = phi // (order if paired else 2 * order)
-            assert prod(r for _, r in box) == walks, (n, base)
+            assert len(starts) == walks, (n, base)
             odd = len(distinct_prime_factors(n)) - (n % 2 == 0)  # odd primes of N
             kinds.add("8 | N" if n % 8 == 0 else "4 || N" if n % 4 == 0 else "prime" if odd == 1
                       else f"odd composite, W {'>' if walks > 1 else '='} 1")
@@ -568,8 +566,8 @@ def test_wrong_period_is_caught(monkeypatch, wrong):
     real = classnum._tower
 
     def tower(*args):
-        e, self_paired, box = real(*args)
-        return wrong(e), self_paired, box
+        e, self_paired, starts = real(*args)
+        return wrong(e), self_paired, starts
 
     monkeypatch.setattr(classnum, "_tower", tower)
     for D, base in BRANCHES:
@@ -588,8 +586,13 @@ def test_wrong_period_is_caught(monkeypatch, wrong):
 def test_dropped_start_fails_the_cycle_count(monkeypatch, D, base):
     # One class fewer is walked than the tower counts: every walk still
     # closes, and only the count of the starts walked tells.
-    real = classnum._products
-    monkeypatch.setattr(classnum, "_products", lambda *args: list(real(*args))[:-1])
+    real = classnum._tower
+
+    def tower(*args):
+        e, self_paired, starts = real(*args)
+        return e, self_paired, starts[:-1]
+
+    monkeypatch.setattr(classnum, "_tower", tower)
     with pytest.raises(InternalError, match=rf"^cycle\[B={base}\] at D={D}: cycle count"):
         h_theorem1(from_discriminant(D), base)
 
@@ -601,8 +604,8 @@ def test_open_stepped_walk_fails_the_closure_check(monkeypatch):
     real = classnum._tower
 
     def tower(base, n, where):
-        e, self_paired, box = real(base, n, where)
-        return e // 2, False, box + [(n - 1, 2)]
+        e, self_paired, starts = real(base, n, where)
+        return e // 2, False, starts + [n - x for x in starts]
 
     monkeypatch.setattr(classnum, "_tower", tower)
     message = "cycle[B=3] at D=-35: period 6 did not close the orbit of 1"
@@ -617,14 +620,14 @@ def test_class_starts_are_one_per_class(monkeypatch):
     # The starts h_theorem1 walks from, against the all_cycles partition with
     # a cycle C and its reflection -C as one class: W starts in W classes.
     starts = []
-    real = classnum._products
+    real = classnum._tower
 
     def recording(*args):
-        for x in real(*args):
-            starts.append(x)
-            yield x
+        e, self_paired, got = real(*args)
+        starts.extend(got)
+        return e, self_paired, got
 
-    monkeypatch.setattr(classnum, "_products", recording)
+    monkeypatch.setattr(classnum, "_tower", recording)
     kinds = set()  # the shapes of the N with more than one class; 3 stands for 3 or more
     for disc in fundamentals_with_n_up_to(3000):
         n = disc.N
@@ -719,9 +722,9 @@ def test_wrong_reflection_decision_is_caught(monkeypatch, D, base, power, messag
     real = classnum._tower
 
     def tower(*args):
-        e, self_paired, box = real(*args)
+        e, self_paired, starts = real(*args)
         assert self_paired == (power == 1)
-        return e, not self_paired, box
+        return e, not self_paired, starts
 
     monkeypatch.setattr(classnum, "_tower", tower)
     with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}: .*{message}"):
@@ -799,25 +802,30 @@ def test_cut_plan_matches_binning_across_n_and_orders():
                     assert table.entries == tuple(entries), (D, base, order)
                     assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg))
             distinct = set(bases)
-            if len(distinct) > 1 and sum(distinct) + len(distinct) <= discriminant.MAX_PLAN_CUTS:
+            if distinct and sum(distinct) + len(distinct) <= discriminant.MAX_PLAN_CUTS:
                 sets.add(frozenset(distinct))
-    # A plan past MAX_PLAN_CUTS (4099 with any other base) is built per call, never kept.
+    # A plan past MAX_PLAN_CUTS (4099, alone or with other bases) is built per call, never kept.
     info = plan.cache_info()
     assert info.misses == info.currsize == len(sets) and info.hits > info.misses
 
 
-def test_lone_base_builds_no_plan(monkeypatch):
-    def no_plan(bases):
-        raise AssertionError(f"merged plan built for {bases}")
-
-    monkeypatch.setattr(discriminant, "_cut_plan", no_plan)
+def test_lone_base_counts_through_the_plan():
+    # One new base counts through its own plan, as several do: kept for (5,) and
+    # (3,), and built per call for (4099,), whose 4100 cuts pass MAX_PLAN_CUTS.
+    plan = discriminant._cut_plan
     for D in (-7, -4004, -300007):
         disc = from_discriminant(D)
         char = QuadChar(disc)
         vals, n = char.values(), disc.N
         for bases in [(5,), (3, 3), (4099,)]:
+            plan.cache_clear()
             (table, *_) = char.ek_tables(bases)
-            assert table.entries == tuple(ek_by_binning(vals, n, bases[0])[0]), (D, bases)
+            entries, pos, neg = ek_by_binning(vals, n, bases[0])
+            assert table.entries == tuple(entries), (D, bases)
+            assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg)), (D, bases)
+            kept = int(bases[0] + 1 <= discriminant.MAX_PLAN_CUTS)
+            info = plan.cache_info()
+            assert (info.misses, info.currsize) == (kept, kept), (D, bases)
         # 3 and 5 are kept, so 9 is the one base this pass counts.
         assert [t.base for t in char.ek_tables((3, 9, 5))] == [3, 9, 5]
         assert char.ek_table(9).entries == tuple(ek_by_binning(vals, n, 9)[0])
