@@ -14,18 +14,23 @@ with chi4, chi8 the characters mod 4 and 8 on odd arguments.  D = -3 and
 D = -4 are excluded throughout: their extra units break the class number
 identities this package checks.
 
-QuadChar is the one implementation of chi_D and the kernel every class
-number route shares: the table of chi_D over one period, built once per D
-as a product of periodic rows (the Jacobi symbol factored into Legendre
-rows, times the chi4/chi8 row), and the EkTable of counts of chi = +1, -1
-in the B pieces of (0, N) per (D, B), both counted off that table in one
-pass over the cuts of all the bases asked for at once, a lone base too.  The
-merged order of those cuts depends only on the set of bases, never on N, so
-it is a cached plan (_cut_plan) and a D only scales its integer keys.  Single
-values are read from the table too.  The formula above, evaluated pointwise
-through quadratic reciprocity, is the tests' independent oracle.  quad_char
-keeps the QuadChar of the last D.  check_size and check_base refuse an N above
-MAX_N and a base outside 2..MAX_BASE before any table or cut list exists.
+QuadChar is the one implementation of chi_D and the kernel every class number
+route shares: the table of chi_D over one period, built once per D as a
+product of periodic rows (the Jacobi symbol factored into Legendre rows, times
+the chi4/chi8 row), and the EkTable of counts of chi = +1, -1 in the B pieces
+of (0, N) per (D, B), both counted off that table in one pass over the cuts of
+all the bases asked for at once, a lone base too.  The merged order of those
+cuts depends only on the set of bases, never on N, so it is a cached plan
+(_cut_plan) and a D only scales its integer keys.  Single values are read from
+the table too.  A Legendre row of p stores nothing per square: Euler's
+criterion at the primes q <= m ~ 1.5 p^(2/3) gives its base, chi on [-m, m];
+Dirichlet's approximation theorem puts every other x within m/b of some kp/b
+with b < p/m, so strided copies of the base fill the rest; and a 0 left in the
+row is a gap in that cover and raises InternalError.  The formula above,
+evaluated pointwise through quadratic reciprocity, is the tests' independent
+oracle.  quad_char keeps the QuadChar of the last D.  check_size and
+check_base refuse an N above MAX_N and a base outside 2..MAX_BASE before any
+table or cut list exists.
 """
 
 from array import array
@@ -33,8 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from math import gcd, lcm
+from itertools import accumulate, compress, repeat
+from math import gcd, isqrt, lcm
 from operator import itemgetter, sub
 
 from .arith import distinct_prime_factors, is_squarefree
@@ -195,19 +200,20 @@ class QuadChar:
     def values(self) -> array:
         """Table (chi(0), chi(1), ..., chi(N)) as array('b'); chi(0) = chi(N) = 0.
 
-        Built once per instance as the product (_times) of periodic rows, largest
-        prime first: the Legendre row of each odd prime p | m, factors of the Jacobi
-        symbol (x / |odd part of m|), then the chi4/chi8 row for even D.
+        Built once per instance as the product (_times) of periodic rows in signed
+        bytes (255 = -1), largest prime first: the Legendre row of each odd prime p | m,
+        factors of the Jacobi symbol (x / |odd part of m|), then the chi4/chi8 row for
+        even D.
         """
         if self._values is None:
-            row = array("b", [1])
+            row = b"\x01"
             for p in reversed(distinct_prime_factors(self.disc.N)):
-                f = _legendre_row(p) if p > 2 else array("b", _TWO_ROWS[self.disc.case])
+                f = _legendre_row(p) if p > 2 else _TWO_ROWS[self.disc.case]
                 row = f if len(row) == 1 else _times(row, f)
             if len(row) != self.disc.N:
                 raise InternalError(f"character row of period {len(row)} at D={self.disc.D}")
-            row.append(0)  # chi(N) = chi(0)
-            self._values = row
+            row += b"\x00"  # chi(N) = chi(0)
+            self._values = array("b", row)  # the rows are signed bytes up to this one copy
         return self._values
 
     def ek_table(self, base: int) -> EkTable:
@@ -273,43 +279,67 @@ def _cut_plan(bases: tuple[int, ...]) -> tuple[list[int], int, dict[int, itemget
     return keys, size, at
 
 
-# One period of chi4, chi8 or chi4 chi8: the row of the prime 2, which only an
-# even D has.
+# One period of chi4, chi8 or chi4 chi8 in signed bytes: the row of the prime 2,
+# which only an even D has.
 _TWO_ROWS = {
-    Case.D1: array("b", [0, 1, 0, -1]),
-    Case.D2: array("b", [0, 1, 0, -1, 0, -1, 0, 1]),
-    Case.D3: array("b", [0, 1, 0, 1, 0, -1, 0, -1]),
+    Case.D1: bytes([0, 1, 0, 255]),
+    Case.D2: bytes([0, 1, 0, 255, 0, 255, 0, 1]),
+    Case.D3: bytes([0, 1, 0, 1, 0, 255, 0, 255]),
 }
 
 
 _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signed bytes: 1 <-> 255 (-1)
 
 
-def _legendre_row(p: int) -> array:
-    """(x / p) for x in [0, p): +1 on the nonzero squares, -1 elsewhere, 0 at 0."""
-    row = array("b", [-1]) * p
-    with memoryview(row).cast("B") as view:  # cheaper stores than the array's
-        view[0] = sq = 0
-        for odd in range(1, p, 2):  # i^2 = (i - 1)^2 + 2i - 1, reduced mod p
-            sq += odd
-            if sq >= p:
-                sq -= p
-            view[sq] = 1
+def _legendre_row(p: int) -> bytearray:
+    """(x / p) for x in [0, p) in signed bytes: +1 on the nonzero squares, -1 elsewhere, 0 at 0.
+
+    Base: chi on [0, m], m = min(p - 1, floor(1.5 p^(2/3))) > sqrt(p), +1 but negated once
+    per q^j <= m at its multiples for each prime q with Euler's q^((p-1)/2) = -1 (mod p), and
+    extended to [-m, m] by chi(-1) = (-1)^((p-1)/2).  It fills [0, m] and [p - m, p).  Cover:
+    Dirichlet's theorem with Q = ceil(p/m) - 1 gives every other x some 2 <= b <= Q < m and k
+    coprime to b with |bx - kp| <= p/(Q + 1) <= m, so chi(x) = chi(b) chi(bx - kp) copies each
+    such interval from the base in one stride-b slice.  Certificate: a 0 left at any x != 0 is
+    an x the cover missed, and raises InternalError.
+    """
+    m = min(p - 1, int(1.5 * p ** (2 / 3)))  # > sqrt(p) for every p >= 3
+    sieve = bytearray(b"\x00\x00") + bytearray(b"\x01") * (m - 1)  # 1 at the primes
+    for q in range(2, isqrt(m) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes((m - q * q) // q + 1)
+    base = bytearray(b"\x00") + bytearray(b"\x01") * m
+    for q in compress(range(m + 1), sieve):
+        if pow(q, p // 2, p) != 1:
+            qj = q
+            while qj <= m:
+                base[qj::qj] = base[qj::qj].translate(_NEG)
+                qj *= q
+    ext = (base[:0:-1].translate(_NEG) if p % 4 == 3 else base[:0:-1]) + base  # [i]: chi(i - m)
+    neg = ext.translate(_NEG)
+    row = bytearray(p)
+    row[: m + 1], row[p - m :] = base, ext[:m]
+    for b in range(2, -(-p // m)):
+        src = ext if base[b] == 1 else neg
+        for k in range(1, b):
+            if gcd(k, b) == 1:  # else k/b = k'/b' with b' < b, whose interval holds this one
+                lo = (k * p - m + b - 1) // b
+                row[lo : (k * p + m) // b + 1] = src[b * lo - k * p + m :: b]
+    if (x := row.find(0, 1)) >= 0:
+        raise InternalError(f"Legendre row of p={p} has no value at x={x}")
     return row
 
 
-def _times(a: array, b: array) -> array:
+def _times(a: bytes, b: bytes) -> bytearray:
     """The product of two rows of coprime periods q <= Q: its x = r (mod q) are the slice
     [r::q] of the longer row repeated q times, times the shorter row's entry r."""
     short, long = sorted((a, b), key=len)
     q = len(short)
-    ext = bytes(long) * q
+    ext = long * q
     out = bytearray(len(ext))
     for r, c in enumerate(short):
         if c:
             out[r::q] = ext[r::q] if c == 1 else ext[r::q].translate(_NEG)
-    del ext  # before the copy below, which would otherwise hold three periods
-    return array("b", out)
+    return out
 
 
 @lru_cache(maxsize=1)

@@ -3,8 +3,8 @@
 Each oracle computes the same quantity as the library through a different
 algorithm (reduced-form counting, Kronecker symbols, the character formula
 through quadratic reciprocity, repeat-detection long division, direct
-binning, an every-k scan for integral cuts, per-x floor and Dirichlet sums),
-so agreement is meaningful.
+binning, an every-k scan for integral cuts, per-x floor and Dirichlet sums,
+one store per square for a Legendre row), so agreement is meaningful.
 """
 
 from math import gcd
@@ -18,6 +18,15 @@ from quadclass.errors import (
     InvalidModulusError,
     NotFundamentalError,
 )
+
+
+def legendre_by_squares(p: int) -> bytearray:
+    """(x / p) for x in [0, p) as signed bytes (255 = -1): 1 stored at each i^2 mod p."""
+    row = bytearray(b"\xff") * p
+    row[0] = 0
+    for i in range(1, (p + 1) // 2):
+        row[i * i % p] = 1
+    return row
 
 
 def h_by_reduced_forms(D: int) -> int:

@@ -1,8 +1,9 @@
 import pytest
 from math import gcd
 
-from sympy import totient
+from sympy import primerange, totient
 
+from quadclass import discriminant
 from quadclass.discriminant import (
     MAX_N,
     Case,
@@ -13,6 +14,7 @@ from quadclass.discriminant import (
 )
 from quadclass.errors import (
     ExcludedDiscriminantError,
+    InternalError,
     InvalidGeneratorError,
     ModulusTooLargeError,
     NotFundamentalError,
@@ -25,6 +27,7 @@ from helpers import (
     chi_kronecker,
     fundamentals_with_n_up_to,
     is_fundamental,
+    legendre_by_squares,
 )
 
 
@@ -128,6 +131,33 @@ class TestChi4Chi8:
             chi4(2)
         with pytest.raises(ValueError):
             chi8(0)
+
+
+class TestLegendreRow:
+    def test_matches_squares_below_5000(self):
+        for p in primerange(3, 5000):
+            assert discriminant._legendre_row(p) == legendre_by_squares(p), p
+
+    @pytest.mark.parametrize("p", [250013, 1000033, 9999973, 300007, 1000003])
+    def test_matches_squares_at_large_p(self, p):
+        # p = 1 and 3 (mod 4): the base extends to [-m, 0) with chi(-1) = +1 and -1.
+        assert discriminant._legendre_row(p) == legendre_by_squares(p)
+
+    @pytest.mark.parametrize(
+        "skipped",
+        [
+            pytest.param(lambda k, b: b, id="every-interval"),  # only [0, m] and [p - m, p)
+            pytest.param(lambda k, b: b if b == 2 else 1, id="around-p/2"),
+        ],
+    )
+    def test_gap_in_cover_is_caught(self, monkeypatch, skipped):
+        # An interval around kp/b is copied only when gcd(k, b) = 1; a gcd that says
+        # otherwise leaves x uncovered, 0 in the row, and the certificate must see it.
+        monkeypatch.setattr(discriminant, "gcd", skipped)
+        with pytest.raises(InternalError, match="p=1019 "):
+            discriminant._legendre_row(1019)
+        with pytest.raises(InternalError, match="p=1019 "):
+            QuadChar(from_discriminant(-1019)).values()
 
 
 class TestCharacter:
