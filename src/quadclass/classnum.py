@@ -144,11 +144,11 @@ def h_dirichlet(disc: Discriminant) -> HResult:
     """h = -(1/N) sum_{x=1}^{N} chi(x) x.  The reference route, folded onto half a period:
     chi(N - x) = -chi(x), and chi(N/2) = 0 for even N, so the sum is
     sum_{x<N/2} (2x - N) chi(x) = 2W - N S, with S = sum chi(x) and W = sum x chi(x) over
-    x < m = N // 2 + 1.  Both are popcounts of bit planes: the half table read as two
-    m-bit ints pos and neg (chi = +1, -1), x at bit y = m - 1 - x, give S and, with P_j
+    x < m = N // 2 + 1.  Both are popcounts of bit planes: the table buffer's [:m] read as
+    two m-bit ints pos and neg (chi = +1, -1), x at bit y = m - 1 - x, give S and, with P_j
     the y < m that have bit j set, W = (m - 1) S - sum_j 2^j (|pos & P_j| - |neg & P_j|)."""
     m = disc.N // 2 + 1
-    half = memoryview(quad_char(disc).values())[:m].tobytes()
+    half = quad_char(disc).values().obj[:m]
     pos = int(half.translate(bytes.maketrans(b"\0\1\377", b"010")), 2)
     neg = int(half.translate(bytes.maketrans(b"\0\1\377", b"001")), 2)
     s = pos.bit_count() - neg.bit_count()

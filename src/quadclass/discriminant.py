@@ -15,25 +15,24 @@ D = -4 are excluded throughout: their extra units break the class number
 identities this package checks.
 
 QuadChar is the one implementation of chi_D and the kernel every class number
-route shares: the table of chi_D over one period, built once per D as a
-product of periodic rows (the Jacobi symbol factored into Legendre rows, times
-the chi4/chi8 row), and the EkTable of counts of chi = +1, -1 in the B pieces
-of (0, N) per (D, B), both counted off that table in one pass over the cuts of
-all the bases asked for at once, a lone base too.  The merged order of those
-cuts depends only on the set of bases, never on N, so it is a cached plan
-(_cut_plan) and a D only scales its integer keys.  Single values are read from
-the table too.  A Legendre row of p stores nothing per square: Euler's
-criterion at the primes q <= m ~ 1.5 p^(2/3) gives its base, chi on [-m, m];
-Dirichlet's approximation theorem puts every other x within m/b of some kp/b
-with b < p/m, so strided copies of the base fill the rest; and a 0 left in the
-row is a gap in that cover and raises InternalError.  The formula above,
-evaluated pointwise through quadratic reciprocity, is the tests' independent
-oracle.  quad_char keeps the QuadChar of the last D.  check_size and
-check_base refuse an N above MAX_N and a base outside 2..MAX_BASE before any
-table or cut list exists.
+route shares: the table of chi_D over one period, built once per D as a product
+of periodic rows (the Jacobi symbol factored into Legendre rows, times the
+chi4/chi8 row) in one bytearray that every route reads in place, and the
+EkTable of counts of chi = +1, -1 in the B pieces of (0, N) per (D, B), counted
+off that buffer in one pass over the cuts of all the bases asked for at once, a
+lone base too.  The merged order of those cuts depends only on the set of
+bases, never on N, so it is a cached plan (_cut_plan) and a D only scales its
+integer keys.  Single values are read from the table too.  A Legendre row of p
+stores nothing per square: Euler's criterion at the primes q <= m ~ 1.5 p^(2/3)
+gives its base, chi on [-m, m]; Dirichlet's approximation theorem puts every
+other x within m/b of some kp/b with b < p/m, so strided copies of the base
+fill the rest; and a 0 left in the row is a gap in that cover and raises
+InternalError.  The formula above, evaluated pointwise through quadratic
+reciprocity, is the tests' independent oracle.  quad_char keeps the QuadChar of
+the last D.  check_size and check_base refuse an N above MAX_N and a base
+outside 2..MAX_BASE before any table or cut list exists.
 """
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -187,7 +186,7 @@ class QuadChar:
 
     def __init__(self, disc: Discriminant):
         self.disc = disc
-        self._values: array | None = None
+        self._values: memoryview | None = None
         self._counts: dict[int, EkTable] = {}  # base -> its EkTable
 
     def __repr__(self) -> str:
@@ -197,23 +196,23 @@ class QuadChar:
         """chi_D(x) in {-1, 0, +1} for any integer x; 0 exactly when gcd(x, N) > 1."""
         return self.values()[x % self.disc.N]
 
-    def values(self) -> array:
-        """Table (chi(0), chi(1), ..., chi(N)) as array('b'); chi(0) = chi(N) = 0.
+    def values(self) -> memoryview:
+        """Table (chi(0), chi(1), ..., chi(N)) as a signed-byte view; chi(0) = chi(N) = 0.
 
         Built once per instance as the product (_times) of periodic rows in signed
         bytes (255 = -1), largest prime first: the Legendre row of each odd prime p | m,
-        factors of the Jacobi symbol (x / |odd part of m|), then the chi4/chi8 row for
-        even D.
+        factors of the Jacobi symbol (x / |odd part of m|), then a copy of the chi4/chi8
+        row for even D.  The view's .obj is the last row or product, a bytearray of its own.
         """
         if self._values is None:
             row = b"\x01"
             for p in reversed(distinct_prime_factors(self.disc.N)):
-                f = _legendre_row(p) if p > 2 else _TWO_ROWS[self.disc.case]
+                f = _legendre_row(p) if p > 2 else bytearray(_TWO_ROWS[self.disc.case])
                 row = f if len(row) == 1 else _times(row, f)
             if len(row) != self.disc.N:
                 raise InternalError(f"character row of period {len(row)} at D={self.disc.D}")
-            row += b"\x00"  # chi(N) = chi(0)
-            self._values = array("b", row)  # the rows are signed bytes up to this one copy
+            row.append(0)  # chi(N) = chi(0), while no view pins the size
+            self._values = memoryview(row).cast("b")
         return self._values
 
     def ek_table(self, base: int) -> EkTable:
@@ -226,7 +225,7 @@ class QuadChar:
         pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  Every
         new base is checked first (check_base).  The new bases, one or several, take the
         points of their _cut_plan (kept when it covers at most MAX_PLAN_CUTS cuts), count
-        the bytes 1 and 255 (chi = -1) in the fine pieces between those points, and each
+        the bytes 1 and 255 (chi = -1) on the table's buffer between those points, and each
         base takes differences of the running totals at its own indices; a repeated point
         makes an empty piece, which counts 0.  The cut kN/B is an integer exactly when k
         is a multiple of B/g, g = gcd(B, N); such a cut x with chi(x) != 0 would lie on
@@ -244,12 +243,11 @@ class QuadChar:
                         raise InternalError(
                             f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {c}"
                         )
-            data = memoryview(vals)[1:].tobytes()  # data[a:b] is chi(a + 1), ..., chi(b)
             plan = _cut_plan if sum(new) + len(new) <= MAX_PLAN_CUTS else _cut_plan.__wrapped__
             keys, size, at = plan(tuple(sorted(new)))
-            points = [key * n // size for key in keys]
+            points = [key * n // size + 1 for key in keys]  # (a, b] is buf[a + 1:b + 1]
             totals = [  # running counts of the bytes 1 and 255 (chi = -1) over the pieces
-                tuple(accumulate(map(data.count, repeat(c), points, points[1:]), initial=0))
+                tuple(accumulate(map(vals.obj.count, repeat(c), points, points[1:]), initial=0))
                 for c in (1, 255)
             ]
             for base in new:
@@ -329,16 +327,16 @@ def _legendre_row(p: int) -> bytearray:
     return row
 
 
-def _times(a: bytes, b: bytes) -> bytearray:
+def _times(a: bytearray, b: bytearray) -> bytearray:
     """The product of two rows of coprime periods q <= Q: its x = r (mod q) are the slice
-    [r::q] of the longer row repeated q times, times the shorter row's entry r."""
+    [r::q] of the longer row repeated q times, times the shorter row's entry r: that new
+    bytearray is negated in place where the entry is -1 and zeroed where it is 0."""
     short, long = sorted((a, b), key=len)
     q = len(short)
-    ext = long * q
-    out = bytearray(len(ext))
+    out = long * q
     for r, c in enumerate(short):
-        if c:
-            out[r::q] = ext[r::q] if c == 1 else ext[r::q].translate(_NEG)
+        if c != 1:
+            out[r::q] = out[r::q].translate(_NEG) if c else bytes(len(long))
     return out
 
 

@@ -1,4 +1,5 @@
 import pytest
+import tracemalloc
 from math import gcd
 
 from sympy import primerange, totient
@@ -206,23 +207,47 @@ class TestCharacter:
         assert cases == set(Case)
 
     @pytest.mark.parametrize(
-        "D",
+        "D, peak_per_entry",
         [
-            pytest.param(-9988440, id="even"),  # 2^3 * 3*5*7*11*23*47, close to MAX_N
-            pytest.param(-255255, id="odd"),  # 3*5*7*11*13*17
+            pytest.param(-9988440, 1.5, id="even"),  # 2^3 * 3*5*7*11*23*47, close to MAX_N
+            # 3*5*7*11*13*17: its last product, by the q = 3 row, peaks at 2 N bytes
+            pytest.param(-255255, None, id="odd"),
         ],
     )
-    def test_product_rows_at_large_composite_n(self, D):
+    def test_product_rows_at_large_composite_n(self, D, peak_per_entry):
         # Six and seven prime rows multiply here, each product taken by slices
-        # over the shorter period.  A QuadChar of its own keeps the table out
-        # of the quad_char cache.
+        # over the shorter period, in place on the repeated longer row: the build
+        # holds no second buffer of N bytes.  A QuadChar of its own keeps the
+        # table out of the quad_char cache.
         disc = from_discriminant(D)
         n = disc.N
-        vals = QuadChar(disc).values()
+        tracemalloc.start()
+        try:
+            vals = QuadChar(disc).values()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if peak_per_entry is not None:
+            assert peak < peak_per_entry * n
         assert len(vals) == n + 1
         for x in [*range(3000), *(i * n // 3000 for i in range(3000))]:
             assert vals[x] == chi_by_reciprocity(disc, x), (D, x)
         assert vals.tobytes().count(0) == n + 1 - totient(n)
+
+    def test_table_is_a_writable_view_over_its_own_buffer(self):
+        # The table is the bytearray its row product built, seen as signed bytes: a
+        # write lands in the one buffer the counts read, and no other QuadChar or the
+        # shared chi4/chi8 rows see it.  At D = -8 that row is the only one.
+        two_rows = {case: bytes(row) for case, row in discriminant._TWO_ROWS.items()}
+        for D in (-8, -24, -40, -4004, -23, -3315):
+            disc = from_discriminant(D)
+            vals = QuadChar(disc).values()
+            assert isinstance(vals, memoryview) and not vals.readonly, D
+            assert vals.format == "b" and len(vals) == disc.N + 1, D
+            assert type(vals.obj) is bytearray, D
+            vals[1] = -1
+            assert vals.obj[1] == 255 and QuadChar(disc).eval(1) == 1, D
+        assert discriminant._TWO_ROWS == two_rows
 
     def test_chi_at_minus_one(self):
         for disc in fundamentals_with_n_up_to(500):

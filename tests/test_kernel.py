@@ -690,6 +690,20 @@ def test_cycle_walk_holds_nothing_of_size_n():
     assert peak < disc.N // 8
 
 
+def test_ek_pass_counts_on_the_table_without_a_copy():
+    # The sweep's bases 2..13 in one pass at N = 1000003: the counts run on the
+    # table's own buffer, so the pass holds nothing of size N.
+    char = QuadChar(from_discriminant(-1000003))
+    char.values()
+    tracemalloc.start()
+    try:
+        char.ek_tables(tuple(range(2, 14)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < char.disc.N // 8
+
+
 def test_doubled_period_needs_the_order_certificate(monkeypatch):
     # 2 has order 8 mod 17 and 24 mod 119 = 7 * 17.  A claimed order 16 mod 17
     # makes the period 48, which divides phi(119) = 96 = 2 * 48 with one
