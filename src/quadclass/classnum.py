@@ -21,8 +21,8 @@ digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
 walk steps in base B^k, reading the signed sums of k >= 1 digits (a short
 block last) from a table.  Once the walks of a (D, B) cover LANE_DIGITS
 digits they are cut into segments of T digits that step together, each
-in a slot of whole 64-bit words of one int (_lanes): one fixed-point
-divide (Granlund and Montgomery) emits a digit in every slot, exactly,
+in a slot of whole bytes of one int (_lanes): one fixed-point divide
+(Granlund and Montgomery) at B^2 emits two digits in every slot, exactly,
 with no carry or borrow between slots, and the packed ends are checked
 against each segment's successor in one comparison.  The classes are the
 cosets of <B, -1> in the units mod N; _tower lists one start per class as
@@ -43,14 +43,12 @@ Every route checks divisibility and positivity of its final division; a
 failure raises InternalError because the identities admit no exceptions.
 """
 
-from array import array
 from dataclasses import dataclass, replace
 from decimal import MAX_EMAX, Context, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
-from sys import byteorder
 
 from .arith import (
     is_prime,
@@ -314,14 +312,18 @@ def _lanes(base: int, n: int, s: int, seg: int, count: int, groups: dict[int, li
     t their sum signed by s^i, and each walk's end there, x B^(count seg) mod N.
 
     groups maps chi(x) to its starts, the +1 starts first, and the walks fill the slots
-    of Y in that order: segment j of the walk from x from x B^(seg j) mod N.  The even
-    and odd steps' digits accumulate apart, and each sum is read off once at the end.
-    h_theorem1 shows the step exact and the slots apart.  A Y that misses the packed
-    successors raises InternalError.
+    of Y in that order: segment j of the walk from x from x B^(seg j) mod N.  A step
+    emits the next two digits of every slot, A = B a_0 + a_1, and a_0 = floor(A/B) as
+    the bits from g up of A r_B; each pair starts on sign +1, so t = s sum A + (1 - s B)
+    sum a_0, and both sums are read off once at the end.  h_theorem1 shows the step
+    exact and the slots apart.  A Y that misses the packed successors raises InternalError.
     """
-    f = (base * n).bit_length() + n.bit_length()
-    br = base * -(-(1 << f) // n)
-    words = -(-(f + base.bit_length()) // 64)  # a slot is W = 64 words >= F + bits(B) bits
+    c = base * base
+    f = (c * n).bit_length() + n.bit_length()
+    cr = c * -(-(1 << f) // n)
+    g = (c * base).bit_length()  # 2^g > B^3
+    rb = -(-(1 << g) // base)
+    size = -(-(f + c.bit_length()) // 8)  # a slot is W = 8 size >= F + bits(c) bits
     step = pow(base, seg, n)
     starts, ends, last = [], [], []
     for xs in groups.values():
@@ -332,30 +334,33 @@ def _lanes(base: int, n: int, s: int, seg: int, count: int, groups: dict[int, li
                 ends.append(x)
             last.append(x)
     lanes = len(starts)
-    plus = words * count * len(groups[1])
+    plus = 8 * size * count * len(groups[1])  # the +1 lanes' bits, at the bottom
+    full = (1 << 8 * size) - 1  # 2^W = 1 (mod 2^W - 1): a run of slots is their sum
 
     def pack(ys):
-        slots = array("Q", bytes(8 * words * lanes))
-        slots[::words] = array("Q", ys)
-        return int.from_bytes(slots, byteorder)
+        slots = bytearray(size * lanes)
+        for i, y in enumerate(ys):
+            slots[i * size : (i + 1) * size] = y.to_bytes(size, "little")
+        return int.from_bytes(slots, "little")
+
+    def every(v):  # v in every slot
+        return int.from_bytes(v.to_bytes(size, "little") * lanes, "little")
 
     def signed(acc):  # sum of the +1 lanes' slots less the -1 lanes'
-        slots = array("Q", acc.to_bytes(8 * words * lanes, byteorder))
-        return sum(slots[:plus]) - sum(slots[plus:])
+        return (acc & ((1 << plus) - 1)) % full - (acc >> plus) % full
 
     y = pack(starts)
-    m = pack([(1 << (base - 1).bit_length()) - 1] * lanes)
-    even = odd = 0
+    m = every((1 << (c - 1).bit_length()) - 1)  # A's bits
+    m0 = every(((1 << (base - 1).bit_length()) - 1) << g)  # a_0's, from bit g
+    pairs = firsts = 0
     for _ in range(seg // 2):
-        a = (y * br >> f) & m
-        y = base * y - a * n
-        even += a
-        a = (y * br >> f) & m
-        y = base * y - a * n
-        odd += a
+        a = (y * cr >> f) & m
+        y = c * y - a * n
+        pairs += a
+        firsts += a * rb & m0
     if y != pack(ends):
         raise InternalError(f"{where}: {lanes} lanes of {seg} digits missed their ends")
-    return signed(even) + s * signed(odd), last
+    return s * signed(pairs) + (1 - s * base) * (signed(firsts) >> g), last
 
 
 def h_theorem1(disc: Discriminant, base: int) -> HResult:
@@ -423,20 +428,28 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     all and each is at least T = 2 isqrt(phi(N)/2) long, _lanes
     cuts each walk into count = steps // T segments of T digits (T even).
     Segment j of the walk from x starts at x B^(Tj) mod N and holds one
-    slot of W bits in an int Y; its i-th digit is signed chi(x) s^i, since
-    s^(Tj) = 1.  One step is A = (Y c R >> F) & M, Y = c Y - A N with
-    c = B, F = bits(cN) + bits(N), R = ceil(2^F/N) and M the bits of c - 1
-    in every slot:
-      * exact: with u = c y < cN and R = (2^F + r)/N, 0 <= r < N, u R / 2^F
-        = u/N + u r/(N 2^F), and the excess is below cN/2^F < 1/N as 2^F >
+    slot of W = 8 ceil((F + bits(c))/8) bits in an int Y; its i-th digit is
+    signed chi(x) s^i, since s^(Tj) = 1.  One step emits two digits (k = 2
+    above): A = (Y c R >> F) & M, Y = c Y - A N with c = B^2, F = bits(cN)
+    + bits(N), R = ceil(2^F/N) and M the bits of c - 1 in every slot, and
+    a_0 2^g = (A r) & (M_1 << g) with 2^g > B^3, r = ceil(2^g/B) and M_1
+    the bits of B - 1 in every slot:
+      * A exact: with u = c y < cN and R = (2^F + e)/N, 0 <= e < N, u R / 2^F
+        = u/N + u e/(N 2^F), and the excess is below cN/2^F < 1/N as 2^F >
         cN^2; u/N is at least 1/N below the next integer, so the floor is
-        floor(u/N) = a(y), the next digit;
-      * no carry: y c R < (c + 1) 2^F <= 2^(F + bits(c)) <= 2^W, so each
-        slot's product stays in it, and past >> F the next slot's low bits
-        land at bit W - F >= bits(c), outside M; the sums of T/2 < 2^12
-        digits (N <= MAX_N) below MAX_BASE that the even and odd steps'
-        accumulators keep per slot stay below 2^64;
-      * no borrow: 0 <= c y - a N < N in every slot, so c Y - A N moves
+        floor(u/N) = A, whose base-B digits a_0 a_1 are the next two;
+      * a_0 exact: likewise A r/2^g = A/B + A e'/(B 2^g) with e' = B r - 2^g
+        < B, and A e' < c B <= 2^g, so bits g and up of A r are floor(A/B);
+      * no carry: u R < (c + 1) 2^F <= 2^(F + bits(c)) <= 2^W, and W - g >=
+        bits(c) + 2 bits(N) - 1 - bits(B) >= bits(B) + 2 bits(N) - 2, so A r
+        < B 2^g + c <= 2^W: each slot's products stay in it, past >> F the
+        next slot's low bits land at bit W - F >= bits(c), outside M, and
+        M_1 << g reads the slot's own bits;
+      * no overflow: over all slots together (phi(N)/4 pairs at most) the
+        sum of A stays below N c < 2^F and that of a_0 2^g below N B 2^g/4
+        < 2^(W - bits(N)), so each slot's sums stay in it, and a run of
+        slots read mod 2^W - 1 (2^W = 1) is the sum of its slots;
+      * no borrow: 0 <= c y - A N < N in every slot, so c Y - A N moves
         each slot to its successor alone.
     After T steps Y must equal the packed successors x B^(T(j+1)), which
     come from pow(B, T, N), so a wrong start fails that one comparison.

@@ -201,17 +201,18 @@ class QuadChar:
 
         Built once per instance as the product (_times) of periodic rows in signed
         bytes (255 = -1), largest prime first: the Legendre row of each odd prime p | m,
-        factors of the Jacobi symbol (x / |odd part of m|), then a copy of the chi4/chi8
-        row for even D.  The view's .obj is the last row or product, a bytearray of its own.
+        factors of the Jacobi symbol (x / |odd part of m|), then the chi4/chi8 row for even
+        D.  The view's .obj is the last row or product, a bytearray of its own built with
+        one byte more for chi(N) = chi(0) = 0, so it is allocated at N + 1 bytes exactly.
         """
         if self._values is None:
-            row = b"\x01"
-            for p in reversed(distinct_prime_factors(self.disc.N)):
-                f = _legendre_row(p) if p > 2 else bytearray(_TWO_ROWS[self.disc.case])
-                row = f if len(row) == 1 else _times(row, f)
-            if len(row) != self.disc.N:
-                raise InternalError(f"character row of period {len(row)} at D={self.disc.D}")
-            row.append(0)  # chi(N) = chi(0), while no view pins the size
+            row, ps = b"\x01", distinct_prime_factors(self.disc.N)
+            for p in reversed(ps):
+                tail = p == ps[0]  # the last factor: its row or product holds chi(N) too
+                f = _legendre_row(p, tail and len(row) == 1) if p > 2 else _TWO_ROWS[self.disc.case]
+                row = f if len(row) == 1 and p > 2 else _times(row, f, tail)
+            if len(row) != self.disc.N + 1:
+                raise InternalError(f"character row of period {len(row) - 1} at D={self.disc.D}")
             self._values = memoryview(row).cast("b")
         return self._values
 
@@ -289,7 +290,7 @@ _TWO_ROWS = {
 _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signed bytes: 1 <-> 255 (-1)
 
 
-def _legendre_row(p: int) -> bytearray:
+def _legendre_row(p: int, tail: int = 0) -> bytearray:
     """(x / p) for x in [0, p) in signed bytes: +1 on the nonzero squares, -1 elsewhere, 0 at 0.
 
     Base: chi on [0, m], m = min(p - 1, floor(1.5 p^(2/3))) > sqrt(p), +1 but negated once
@@ -298,7 +299,7 @@ def _legendre_row(p: int) -> bytearray:
     Dirichlet's theorem with Q = ceil(p/m) - 1 gives every other x some 2 <= b <= Q < m and k
     coprime to b with |bx - kp| <= p/(Q + 1) <= m, so chi(x) = chi(b) chi(bx - kp) copies each
     such interval from the base in one stride-b slice.  Certificate: a 0 left at any x != 0 is
-    an x the cover missed, and raises InternalError.
+    an x the cover missed, and raises InternalError.  tail zeros follow the row.
     """
     m = min(p - 1, int(1.5 * p ** (2 / 3)))  # > sqrt(p) for every p >= 3
     sieve = bytearray(b"\x00\x00") + bytearray(b"\x01") * (m - 1)  # 1 at the primes
@@ -314,29 +315,29 @@ def _legendre_row(p: int) -> bytearray:
                 qj *= q
     ext = (base[:0:-1].translate(_NEG) if p % 4 == 3 else base[:0:-1]) + base  # [i]: chi(i - m)
     neg = ext.translate(_NEG)
-    row = bytearray(p)
-    row[: m + 1], row[p - m :] = base, ext[:m]
+    row = bytearray(p + tail)
+    row[: m + 1], row[p - m : p] = base, ext[:m]
     for b in range(2, -(-p // m)):
         src = ext if base[b] == 1 else neg
         for k in range(1, b):
             if gcd(k, b) == 1:  # else k/b = k'/b' with b' < b, whose interval holds this one
                 lo = (k * p - m + b - 1) // b
                 row[lo : (k * p + m) // b + 1] = src[b * lo - k * p + m :: b]
-    if (x := row.find(0, 1)) >= 0:
+    if (x := row.find(0, 1, p)) >= 0:
         raise InternalError(f"Legendre row of p={p} has no value at x={x}")
     return row
 
 
-def _times(a: bytearray, b: bytearray) -> bytearray:
-    """The product of two rows of coprime periods q <= Q: its x = r (mod q) are the slice
-    [r::q] of the longer row repeated q times, times the shorter row's entry r: that new
-    bytearray is negated in place where the entry is -1 and zeroed where it is 0."""
+def _times(a: bytes, b: bytes, tail: int = 0) -> bytearray:
+    """The product of two rows of coprime periods q <= Q, then tail zeros, in one bytearray of
+    its exact size: its x = r (mod q) are the slice [r:qQ:q] of the longer row repeated q
+    times, negated in place where the shorter row's entry r is -1 and zeroed where it is 0."""
     short, long = sorted((a, b), key=len)
-    q = len(short)
-    out = long * q
+    q, n = len(short), len(short) * len(long)
+    out = bytearray().join([long] * q + [b"\0"] * tail)
     for r, c in enumerate(short):
         if c != 1:
-            out[r::q] = out[r::q].translate(_NEG) if c else bytes(len(long))
+            out[r:n:q] = out[r:n:q].translate(_NEG) if c else bytes(len(long))
     return out
 
 

@@ -1,4 +1,5 @@
 import pytest
+import sys
 import tracemalloc
 from math import gcd
 
@@ -248,6 +249,15 @@ class TestCharacter:
             vals[1] = -1
             assert vals.obj[1] == 255 and QuadChar(disc).eval(1) == 1, D
         assert discriminant._TWO_ROWS == two_rows
+
+    @pytest.mark.parametrize("D", [-1000003, -255255])
+    def test_table_is_allocated_at_its_length(self, D):
+        # chi(N) comes with the last row or product: an append would grow the N-byte
+        # buffer by CPython's over-allocation, 1/8 of it, held and never written.
+        disc = from_discriminant(D)
+        vals = QuadChar(disc).values()
+        assert len(vals) == disc.N + 1 and vals[disc.N] == 0
+        assert sys.getsizeof(vals.obj) <= disc.N + 1 + 64
 
     def test_chi_at_minus_one(self):
         for disc in fundamentals_with_n_up_to(500):

@@ -259,10 +259,12 @@ def test_lanes_match_block_stepping_below_the_constant(monkeypatch):
         # chi(12) = -1, -C = C, 18 of each; chi(7) = +1, 18 of each.
         (-33463, 5, 18, 9), (-33463, 12, 36, 18), (-33463, 7, 36, 18),
         # Prime N = 300007: chi(13) = -1, -C = C, 7 walks; 67 and 4099 step one digit a
-        # block, each in lanes of one 64-bit word (4099: F + bits(B) = 63).
+        # block, in lanes of 8 and 11 bytes a slot (F + bits(B^2) = 63 and 87 bits).
         (-300007, 13, 7, 4), (-300007, 67, 1, 1), (-300007, 4099, 1, 1),
-        # 4099 at N = 1000003 needs 65 bits a slot: two words.
-        (-1000003, 4099, 1, 1),
+        # N = 1000003: 12 bytes a slot at 4099 (89 bits), 10 at 257 (73), and 14 at
+        # 65537 (105) and 99991 (108), the widest of any base at this N.
+        (-1000003, 4099, 1, 1), (-1000003, 257, 3, 2), (-1000003, 65537, 3, 2),
+        (-1000003, 99991, 1, 1),
         # N = 9999991, next to MAX_N: chi(3) = -1 with 21 walks, chi(13) = +1 with one.
         (-9999991, 3, 21, 11), (-9999991, 13, 1, 1),
     ],
