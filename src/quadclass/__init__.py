@@ -36,7 +36,6 @@ from .discriminant import (
     Discriminant,
     QuadChar,
     from_discriminant,
-    from_generator,
     quad_char,
 )
 from .expansion import (

@@ -325,14 +325,13 @@ def _lanes(base: int, n: int, s: int, seg: int, count: int, groups: dict[int, li
     rb = -(-(1 << g) // base)
     size = -(-(f + c.bit_length()) // 8)  # a slot is W = 8 size >= F + bits(c) bits
     step = pow(base, seg, n)
-    starts, ends, last = [], [], []
+    starts, ends = [], []
     for xs in groups.values():
         for x in xs:
             for _ in range(count):
                 starts.append(x)
                 x = x * step % n
                 ends.append(x)
-            last.append(x)
     lanes = len(starts)
     plus = 8 * size * count * len(groups[1])  # the +1 lanes' bits, at the bottom
     full = (1 << 8 * size) - 1  # 2^W = 1 (mod 2^W - 1): a run of slots is their sum
@@ -360,7 +359,7 @@ def _lanes(base: int, n: int, s: int, seg: int, count: int, groups: dict[int, li
         firsts += a * rb & m0
     if y != pack(ends):
         raise InternalError(f"{where}: {lanes} lanes of {seg} digits missed their ends")
-    return s * signed(pairs) + (1 - s * base) * (signed(firsts) >> g), last
+    return s * signed(pairs) + (1 - s * base) * (signed(firsts) >> g), ends[count - 1 :: count]
 
 
 def h_theorem1(disc: Discriminant, base: int) -> HResult:

@@ -16,11 +16,10 @@ import argparse
 import sys
 from math import gcd
 
-from . import expansion
 from .arith import euler_phi, least_primitive_root
 from .classnum import ek_table, h_dirichlet, h_from_ek, h_girstmair
 from .discriminant import check_size, from_discriminant, quad_char
-from .errors import InternalError, ModulusTooLargeError
+from .errors import InternalError
 from .expansion import expand, normalize_cycle
 from .verify import DEFAULT_BASES, METHODS, routes, to_csv, to_json, to_text, verify_range
 
@@ -103,8 +102,7 @@ def cmd_expand(args) -> int:
         disc = from_discriminant(args.discriminant)
         n = disc.N
     else:
-        n = args.modulus
-        check_size(n)
+        n = args.modulus  # expand refuses n above MAX_N before any work
     period = expand(args.numerator, args.base, n)
     cycles = euler_phi(n) // period.e
     print(f"{period.x1}/{n} in base {args.base}: period e = {period.e}, "
@@ -140,15 +138,12 @@ def cmd_ek(args) -> int:
 
 
 def cmd_girstmair(args) -> int:
-    # The period of 1/p at a primitive root is p - 1, and expand below refuses
-    # one above MAX_PERIOD: refuse it here, before h_girstmair walks the orbit.
+    # expand refuses a period above MAX_PERIOD before h_girstmair walks the orbit.
     check_size(args.p)
-    limit = expansion.MAX_PERIOD
-    if args.p - 1 > limit:
-        raise ModulusTooLargeError(f"period {args.p - 1} mod {args.p} exceeds MAX_PERIOD={limit}")
-    result = h_girstmair(args.p, args.base)
-    base = args.base if args.base is not None else least_primitive_root(args.p)
+    root = least_primitive_root(args.p)  # refuses p that is not an odd prime
+    base = args.base if args.base is not None else root
     period = expand(1, base, args.p)
+    result = h_girstmair(args.p, args.base)
     print(f"p = {args.p}, D = {-args.p}, base {base} (primitive root), "
           f"period e = {period.e}")
     print(f"1/{args.p} = {period}")

@@ -45,7 +45,6 @@ from .arith import distinct_prime_factors, is_squarefree
 from .errors import (
     ExcludedDiscriminantError,
     InternalError,
-    InvalidGeneratorError,
     ModulusTooLargeError,
     NotFundamentalError,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Case",
     "Discriminant",
     "EkTable",
-    "from_generator",
     "from_discriminant",
     "QuadChar",
     "quad_char",
@@ -116,17 +114,6 @@ class Discriminant:
 
     def __hash__(self) -> int:  # D fixes every other field, the Enum included
         return hash(self.D)
-
-
-def from_generator(m: int) -> Discriminant:
-    """Discriminant of the field generated by sqrt(m), m < 0 squarefree."""
-    if m >= 0:
-        raise InvalidGeneratorError(f"need m < 0, got {m}")
-    D = m if m % 4 == 1 else 4 * m
-    check_size(-D)
-    if not is_squarefree(-m):
-        raise InvalidGeneratorError(f"{m} is not squarefree")
-    return from_discriminant(D)
 
 
 def from_discriminant(D: int) -> Discriminant:

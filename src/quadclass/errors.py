@@ -28,10 +28,6 @@ class ModulusTooLargeError(ValueError):
     or a base above discriminant.MAX_BASE."""
 
 
-class InvalidGeneratorError(ValueError):
-    """m does not generate a field: m >= 0 or m not squarefree."""
-
-
 class WrongParityError(ValueError):
     """Operation requires the other parity of discriminant (odd vs even N)."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import euler_phi, multiplicative_order
-from .discriminant import QuadChar
+from .discriminant import QuadChar, check_size
 from .errors import (
     InternalError,
     InvalidModulusError,
@@ -103,7 +103,9 @@ def expand(x: int, base: int, n: int) -> ExpansionPeriod:
     The period length is computed up front as multiplicative_order(base, n),
     and a period longer than MAX_PERIOD raises ModulusTooLargeError before
     any digit is stored.  The final step is checked to land back on x.
+    An n above MAX_N raises ModulusTooLargeError first.
     """
+    check_size(n)
     _check_base(base, n)
     _check_numerator(x, n)
     e = multiplicative_order(base, n)
@@ -145,7 +147,9 @@ def all_cycles(base: int, n: int) -> CycleSet:
 
     Each orbit is reported as the ExpansionPeriod of its smallest member, in
     increasing order of that member.  Checks f * e = phi(n) on the way out.
+    An n above MAX_N raises ModulusTooLargeError before the n + 1 marks exist.
     """
+    check_size(n)
     _check_base(base, n)
     seen = bytearray(n + 1)
     cycles = []

@@ -40,21 +40,6 @@ class CongruenceClass24:
     chi2: int
     chi3: int
 
-    @property
-    def a(self) -> int:
-        """2 - chi(2), the denominator weight of the base-2 identity."""
-        return 2 - self.chi2
-
-    @property
-    def b(self) -> int:
-        """3 - chi(3)."""
-        return 3 - self.chi3
-
-    @property
-    def c(self) -> int:
-        """6 - chi(6) = 6 - chi(2) chi(3)."""
-        return 6 - self.chi2 * self.chi3
-
 
 # chi(2) = +1 iff N = 7 (mod 8); chi(3) = +1 iff N = 11 or 23 (mod 24).
 _CLASSES = {

@@ -364,6 +364,13 @@ class TestTooLarge:
         assert main(["girstmair", "2000003"]) == 2
         assert "MAX_PERIOD=2000000" in capsys.readouterr().err
 
+    def test_girstmair_composite_refused_as_not_prime(self, capsys):
+        # 2000005 = 5 * 400001: its period is not p - 1, so no period limit applies.
+        assert main(["girstmair", "2000005"]) == 2
+        err = capsys.readouterr().err
+        assert "need an odd prime, got 2000005" in err
+        assert "MAX_PERIOD" not in err
+
 
 def test_unknown_command():
     with pytest.raises(SystemExit) as exc:

@@ -11,13 +11,11 @@ from quadclass.discriminant import (
     Case,
     QuadChar,
     from_discriminant,
-    from_generator,
     quad_char,
 )
 from quadclass.errors import (
     ExcludedDiscriminantError,
     InternalError,
-    InvalidGeneratorError,
     ModulusTooLargeError,
     NotFundamentalError,
 )
@@ -70,36 +68,6 @@ class TestFromDiscriminant:
             assert ok == is_fundamental(D), D
 
 
-class TestFromGenerator:
-    def test_examples(self):
-        assert from_generator(-7).D == -7
-        assert from_generator(-5).D == -20
-        assert from_generator(-2).D == -8
-        assert from_generator(-6).D == -24
-        assert from_generator(-10).D == -40
-        assert from_generator(-14).D == -56
-
-    def test_excluded_generators(self):
-        # from_discriminant refuses them, with its own message
-        with pytest.raises(ExcludedDiscriminantError, match=r"^D=-4 is excluded \(extra units\)$"):
-            from_generator(-1)
-        with pytest.raises(ExcludedDiscriminantError, match=r"^D=-3 is excluded \(extra units\)$"):
-            from_generator(-3)
-
-    def test_invalid_generators(self):
-        for m in (0, 5, -4, -12, -9, -75):
-            with pytest.raises(InvalidGeneratorError):
-                from_generator(m)
-
-    def test_agrees_with_from_discriminant(self):
-        for m in range(-2, -300, -1):
-            try:
-                disc = from_generator(m)
-            except (InvalidGeneratorError, ExcludedDiscriminantError):
-                continue
-            assert from_discriminant(disc.D) == disc
-
-
 class TestSizeLimit:
     def test_limit_is_on_n_and_comes_first(self):
         assert MAX_N == 10**7
@@ -107,10 +75,6 @@ class TestSizeLimit:
         # -(MAX_N + 1) = 3 (mod 4) is no discriminant, but the size is checked first.
         with pytest.raises(ModulusTooLargeError, match="MAX_N"):
             from_discriminant(-MAX_N - 1)
-        with pytest.raises(ModulusTooLargeError):
-            from_generator(-2500002)  # N = 4 * 2500002 > MAX_N
-        with pytest.raises(InvalidGeneratorError):
-            from_generator(-9999999)  # N = 9999999 <= MAX_N, not squarefree
         assert issubclass(ModulusTooLargeError, ValueError)
 
 

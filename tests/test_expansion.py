@@ -3,10 +3,12 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
+from quadclass import expansion
 from quadclass.arith import euler_phi, multiplicative_order
-from quadclass.discriminant import from_discriminant, quad_char
+from quadclass.discriminant import MAX_N, from_discriminant, quad_char
 from quadclass.errors import (
     InvalidModulusError,
+    ModulusTooLargeError,
     NormalizationUndefinedError,
     NotCoprimeError,
 )
@@ -122,6 +124,21 @@ class TestAllCycles:
         cs = all_cycles(7, 15)
         reps = [c.x1 for c in cs.cycles]
         assert reps == sorted(reps)
+
+
+class TestSizeLimit:
+    def test_modulus_above_max_n_refused_first(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reached past the size check")
+
+        # Neither call may find an order, allocate its N + 1 marks or expand a cycle.
+        monkeypatch.setattr(expansion, "multiplicative_order", refuse)
+        monkeypatch.setattr(expansion, "bytearray", refuse, raising=False)
+        with pytest.raises(ModulusTooLargeError, match=f"MAX_N={MAX_N}"):
+            expand(1, 10, MAX_N + 1)
+        monkeypatch.setattr(expansion, "expand", refuse)
+        with pytest.raises(ModulusTooLargeError, match=f"MAX_N={MAX_N}"):
+            all_cycles(10, MAX_N + 1)
 
 
 class TestNormalizeCycle:

@@ -28,12 +28,6 @@ class TestClassify:
             cls = classify(from_discriminant(D))
             assert (cls.residue, cls.chi2, cls.chi3) == (residue, chi2, chi3)
 
-    def test_weights(self):
-        cls = classify(from_discriminant(-43))  # chi2 = chi3 = -1
-        assert (cls.a, cls.b, cls.c) == (3, 4, 5)
-        cls = classify(from_discriminant(-23))  # chi2 = chi3 = +1
-        assert (cls.a, cls.b, cls.c) == (1, 2, 5)
-
     def test_tabled_values_match_character(self):
         for disc in fundamentals_with_n_up_to(1000):
             if disc.N % 2 == 0 or disc.N % 3 == 0:
