@@ -51,7 +51,6 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .arith import (
-    is_prime,
     is_primitive_root,
     least_primitive_root,
     order_within,
@@ -68,7 +67,6 @@ from .discriminant import (
     quad_char,
 )
 from .errors import (
-    ExcludedDiscriminantError,
     InternalError,
     InvalidFactorizationError,
     NotCoprimeError,
@@ -596,25 +594,22 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     """h(-p) for a prime p = 3 (mod 4) from one expansion of 1/p.
 
     When B is a primitive root mod p the residues coprime to p form a single
-    cycle, so (B+1) h is the alternating digit sum of the period of 1/p.
-    With no base given the least primitive root is used.  That cycle is the
-    one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) (mod p), so the
-    walk covers (p - 1)/2 digits, read off (B^((p-1)/2) + 1)/p at B = 2, 8 or
-    10 and k per step otherwise, the reflection supplies the other digits,
-    and with one class its start comes from a one-step tower that searches
-    no root and certifies the period, so B's order is not found again here.
+    cycle, so (B+1) h is the alternating digit sum of the period of 1/p.  That
+    cycle is the one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) mod
+    p, so the walk covers (p - 1)/2 digits, read off (B^((p-1)/2) + 1)/p at
+    B = 2, 8 or 10 and k per step otherwise, the reflection supplies the others,
+    and with one class its start comes from a one-step tower that searches no
+    root and certifies the period, so B's order is not found again here.  A p
+    that is not an odd prime is refused by least_primitive_root (which picks B
+    when none is given) or is_primitive_root, and p = 3 by from_discriminant.
     """
-    check_size(p)
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if p % 4 != 3:
-        raise ValueError(f"need p = 3 (mod 4), got p={p}")
-    if p == 3:
-        raise ExcludedDiscriminantError("p=3 gives D=-3, excluded")
+    check_size(p)  # before any trial division
     if base is None:
         base = least_primitive_root(p)
     elif base < 2 or not is_primitive_root(base, p):
         raise ValueError(f"B={base} is not a primitive root mod {p}")
+    if p % 4 != 3:
+        raise ValueError(f"need p = 3 (mod 4), got p={p}")
     return replace(h_theorem1(from_discriminant(-p), base), method=f"girstmair[B={base}]")
 
 

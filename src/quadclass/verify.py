@@ -49,7 +49,6 @@ __all__ = [
     "verify_discriminant",
     "verify_range",
     "columns",
-    "record_row",
     "to_text",
     "to_csv",
     "to_json",
@@ -255,7 +254,7 @@ def columns(bases: Sequence[int]) -> list:
 
 
 def _rows(records: Sequence[DiscriminantRecord], bases: Sequence[int]) -> Iterator[dict]:
-    """record_row of each record, with the columns of the base list built once."""
+    """Each record flattened to columns(bases): a record field, a route or a check."""
     formula_cols = list(_route_columns(tuple(bases)).values())
     for rec in records:
         formulas, checks = rec.formulas, rec.checks
@@ -264,11 +263,6 @@ def _rows(records: Sequence[DiscriminantRecord], bases: Sequence[int]) -> Iterat
                "factored_ok": rec.factored_ok,
                **{key: checks.get(key) for key in CHECK_KEYS},
                "agree": rec.agree, "passed": rec.passed, "error": rec.error}
-
-
-def record_row(rec: DiscriminantRecord, bases: Sequence[int]) -> dict:
-    """One record flattened to columns(bases): a record field, a route or a check."""
-    return next(_rows((rec,), bases))
 
 
 def _cell(value) -> str:

@@ -166,3 +166,5 @@ class TestPrimitiveRoots:
             least_primitive_root(2)
         with pytest.raises(ValueError):
             is_primitive_root(3, 15)
+        # b = 0 mod p: every power is 0, so without the gcd check b would pass.
+        assert not is_primitive_root(7, 7) and not is_primitive_root(14, 7)

@@ -125,6 +125,12 @@ class TestLegendreRow:
         with pytest.raises(InternalError, match="p=1019 "):
             QuadChar(from_discriminant(-1019)).values()
 
+    def test_short_row_is_caught(self, monkeypatch):
+        real = discriminant._legendre_row
+        monkeypatch.setattr(discriminant, "_legendre_row", lambda p, tail=0: real(p, tail)[:-1])
+        with pytest.raises(InternalError, match=r"^character row of period 6 at D=-7$"):
+            QuadChar(from_discriminant(-7)).values()
+
 
 class TestCharacter:
     def test_known_values(self):

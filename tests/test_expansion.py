@@ -98,6 +98,14 @@ class TestDigitClosedForm:
             digit_closed_form(1, 0, 10, 7)
         with pytest.raises(NotCoprimeError):
             digit_closed_form(3, 1, 10, 15)
+        with pytest.raises(InvalidModulusError):
+            expand(1, 10, 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            expand(1, 1, 7)
+        with pytest.raises(ValueError, match=r"numerator 0 outside \[1, 7\]"):
+            expand(0, 10, 7)
+        with pytest.raises(ValueError, match=r"numerator 8 outside \[1, 7\]"):
+            digit_closed_form(8, 1, 10, 7)
 
 
 class TestAllCycles:

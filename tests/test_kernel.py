@@ -721,6 +721,15 @@ def test_doubled_period_needs_the_order_certificate(monkeypatch):
         h_theorem1(from_discriminant(-119), 2)
 
 
+def test_class_count_must_be_whole(monkeypatch):
+    # A doubled lcm makes |H| = 12 at D = -7, B = 2 while the order 3 of 2
+    # mod 7 is certified, so only the r_i certificate is left to fail.
+    real = classnum.lcm
+    monkeypatch.setattr(classnum, "lcm", lambda *a: 2 * real(*a))
+    with pytest.raises(InternalError, match=r"^cycle\[B=2\] at D=-7: .* is not whole$"):
+        h_theorem1(from_discriminant(-7), 2)
+
+
 @pytest.mark.parametrize(
     "D, base, power, message",
     [

@@ -13,9 +13,9 @@ from quadclass.verify import (
     CHECK_KEYS,
     DEFAULT_BASES,
     METHODS,
+    _rows,
     columns,
     fundamental_discriminants,
-    record_row,
     routes,
     to_csv,
     to_json,
@@ -224,18 +224,18 @@ class TestReports:
     def test_row_schema_complete(self):
         report = verify_range(-30, -5, bases=(2, 3))
         cols = columns(report.bases)
-        row = record_row(report.records[0], report.bases)
+        row = next(_rows(report.records[:1], report.bases))
         assert list(row) == cols
 
 
 def _dumped(report):
-    """The report through json.dumps(indent=2), its rows built one by one by record_row."""
+    """The report through json.dumps(indent=2), its rows built by _rows."""
     payload = {
         "from": report.lo,
         "to": report.hi,
         "bases": list(report.bases),
         "summary": report.summary,
-        "records": [record_row(rec, report.bases) for rec in report.records],
+        "records": list(_rows(report.records, report.bases)),
     }
     return json.dumps(payload, indent=2) + "\n"
 
