@@ -31,7 +31,7 @@ cyclic kernel's generator (the powers of a primitive root for prime N), so
 the walks mark nothing.  The girstmair route is its one-orbit case.
 Every interval quantity, here and in theorems, is read off the E_k(B)
 table QuadChar keeps per (D, B); ek_tables counts those of all bases of a D
-in one pass over their merged cuts, so each route costs O(B) once it exists.
+in one pass over the cuts above N/2 (E_{B-1-k} = -E_k), then a route is O(B).
 h_dirichlet, the reference route, is folded onto half a period by the same
 reflection, sum_{x<=N} x chi(x) = sum_{x<N/2} (2x - N) chi(x), and read off
 bit planes: the half table as two ints (chi = +1, -1), whose popcounts, masked

@@ -22,7 +22,9 @@ EkTable of counts of chi = +1, -1 in the B pieces of (0, N) per (D, B), counted
 off that buffer in one pass over the cuts of all the bases asked for at once, a
 lone base too.  The merged order of those cuts depends only on the set of
 bases, never on N, so it is a cached plan (_cut_plan) and a D only scales its
-integer keys.  Single values are read from the table too.  A Legendre row of p
+integer keys.  The pass counts above N/2 only and mirrors by E_{B-1-k} = -E_k;
+only h_dirichlet reads below N/2, so it certifies the reflection against the
+E_k routes.  Single values are read from the table too.  A Legendre row of p
 stores nothing per square: Euler's criterion at the primes q <= m ~ 1.5 p^(2/3)
 gives its base, chi on [-m, m]; Dirichlet's approximation theorem puts every
 other x within m/b of some kp/b with b < p/m, so strided copies of the base
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, isqrt, lcm
 from operator import itemgetter, sub
 
@@ -210,15 +212,13 @@ class QuadChar:
     def ek_tables(self, bases: tuple[int, ...]) -> list[EkTable]:
         """The EkTables at bases, in their order, counting those not kept yet in one pass.
 
-        pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  Every
-        new base is checked first (check_base).  The new bases, one or several, take the
-        points of their _cut_plan (kept when it covers at most MAX_PLAN_CUTS cuts), count
-        the bytes 1 and 255 (chi = -1) on the table's buffer between those points, and each
-        base takes differences of the running totals at its own indices; a repeated point
-        makes an empty piece, which counts 0.  The cut kN/B is an integer exactly when k
-        is a multiple of B/g, g = gcd(B, N); such a cut x with chi(x) != 0 would lie on
-        both sides, so it raises InternalError before any base is kept.  N/4, a cut of
-        even D at B = 4 and 12, has chi = 0.
+        pos[k], neg[k] count chi(x) = +1, -1 in floor(kN/B) < x <= floor((k+1)N/B).  New bases
+        are checked (check_base), then counted between their _cut_plan's points above N/2 only:
+        pos by the byte 1, neg = length - pos - zeros by the rare byte 0.  x -> N - x maps the
+        piece over keys (a, b) onto the one over (L - b, L - a), chi negated off the cuts, so
+        the lower pieces are the upper ones reversed, pos and neg swapped.  A cut kN/B (an
+        integer when B/gcd(B, N) divides k) with chi != 0 raises InternalError before any base
+        is kept; N/4 (B = 4, 12, even D) and N/2 have chi = 0.
         """
         new = [b for b in dict.fromkeys(bases) if b not in self._counts]
         if new:
@@ -232,12 +232,12 @@ class QuadChar:
                             f"integral endpoint {k}*{n}/{base} at D={self.disc.D} with chi = {c}"
                         )
             plan = _cut_plan if sum(new) + len(new) <= MAX_PLAN_CUTS else _cut_plan.__wrapped__
-            keys, size, at = plan(tuple(sorted(new)))
-            points = [key * n // size + 1 for key in keys]  # (a, b] is buf[a + 1:b + 1]
-            totals = [  # running counts of the bytes 1 and 255 (chi = -1) over the pieces
-                tuple(accumulate(map(vals.obj.count, repeat(c), points, points[1:]), initial=0))
-                for c in (1, 255)
-            ]
+            keys, size, at, half = plan(tuple(sorted(new)))
+            cuts = [key * n // size + 1 for key in keys[half:]]  # (a, b] is buf[a + 1:b + 1]
+            ones = list(map(vals.obj.count, repeat(1), cuts, cuts[1:]))
+            minus = [b - a - p - vals.obj.count(0, a, b) for a, b, p in zip(cuts, cuts[1:], ones)]
+            signs = ((minus, ones), (ones, minus))  # chi = +1, -1 above N/2, mirrored below
+            totals = [tuple(accumulate(chain(reversed(lo), hi), initial=0)) for lo, hi in signs]
             for base in new:
                 pos, neg = [tuple(map(sub, e[1:], e)) for e in map(at[base], totals)]
                 self._counts[base] = EkTable(self.disc, base, tuple(map(sub, pos, neg)), pos, neg)
@@ -251,18 +251,18 @@ MAX_PLAN_CUTS = 4096
 
 
 @lru_cache(maxsize=64)
-def _cut_plan(bases: tuple[int, ...]) -> tuple[list[int], int, dict[int, itemgetter]]:
-    """(keys, L, at) for one or more distinct ascending bases, L = lcm(bases).
+def _cut_plan(bases: tuple[int, ...]) -> tuple[list[int], int, dict[int, itemgetter], int]:
+    """(keys, L, at, half) for one or more distinct ascending bases, L = lcm(2, *bases).
 
-    The cut kN/B of every base is the key k (L/B) scaled by N/L, and floor(key N / L)
-    is monotone in the key, so the sorted keys give the merged order of the cuts at
-    every N.  at[B] reads the entries at B's B + 1 keys from a row over the keys.
+    The cut kN/B of every base is the key k (L/B) scaled by N/L; floor(key N / L) is
+    monotone, so the sorted keys, symmetric about L/2 (at index half), order the cuts
+    at every N.  at[B] reads the entries at B's B + 1 keys from a row over the keys.
     """
-    size = lcm(*bases)
-    keys = sorted({k * (size // b) for b in bases for k in range(b + 1)})
+    size = lcm(2, *bases)
+    keys = sorted({size // 2, *(k * (size // b) for b in bases for k in range(b + 1))})
     index = {key: i for i, key in enumerate(keys)}
     at = {b: itemgetter(*(index[k * (size // b)] for k in range(b + 1))) for b in bases}
-    return keys, size, at
+    return keys, size, at, index[size // 2]
 
 
 # One period of chi4, chi8 or chi4 chi8 in signed bytes: the row of the prime 2,

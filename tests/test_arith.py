@@ -108,6 +108,11 @@ class TestSquarefreePhiPrime:
         for n in range(1, 2000):
             assert euler_phi(n) == totient(n)
 
+    def test_euler_phi_rejects_nonpositive(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+                euler_phi(n)
+
     def test_is_prime_matches_sympy(self):
         for n in range(-5, 5000):
             assert is_prime(n) == (n >= 2 and sympy_isprime(n))

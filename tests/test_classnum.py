@@ -23,7 +23,7 @@ from quadclass.errors import (
     NotCoprimeError,
     WrongParityError,
 )
-from quadclass.expansion import all_cycles, expand
+from quadclass.expansion import ExpansionPeriod, all_cycles, expand
 
 from helpers import ek_by_binning, fundamentals_with_n_up_to, h_by_reduced_forms
 
@@ -71,6 +71,13 @@ class TestCycleContributions:
     def test_modulus_mismatch(self):
         per = expand(1, 10, 7)
         with pytest.raises(ValueError):
+            h_cycle_contribution(per, quad_char(from_discriminant(-15)))
+
+    def test_shared_factor(self):
+        # expand refuses a base that shares a factor with N, so the period is built by
+        # hand: 1/15 = 0.0(13)_5 is not purely periodic, and chi_{-15}(5) = 0.
+        per = ExpansionPeriod(x1=1, base=5, n=15, digits=(1, 3), cycle=(1, 5))
+        with pytest.raises(NotCoprimeError, match=r"gcd\(5, 15\) > 1"):
             h_cycle_contribution(per, quad_char(from_discriminant(-15)))
 
 

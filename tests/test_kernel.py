@@ -393,7 +393,8 @@ def test_folded_dirichlet_sum_matches_per_x_sum():
 def test_corrupt_table_entry_fails_the_record(D, upper):
     # One unit's chi flipped in the cached table: below N/2 the fold reads it, so
     # dirichlet's h changes or fails its division; above N/2 only the other routes do
-    # (floor reads the whole table), and the record fails either way.
+    # (the E_k pass counts the pieces above N/2 and mirrors them), and the record
+    # fails either way.
     _clear_caches()
     disc = from_discriminant(D)
     good = h_dirichlet(disc)
@@ -807,7 +808,8 @@ def test_merged_pass_matches_per_base_counts_and_binning():
 def test_cut_plan_matches_binning_across_n_and_orders():
     # The merged order of the cuts depends only on the set of bases, so one cached
     # plan serves every N and every order of the same bases.  Bases above N (up to
-    # 3N) and 4099 repeat points, which make empty pieces.
+    # 3N) and 4099 repeat points, which make empty pieces, and the mirror must map
+    # them onto empty pieces too, with the odd ones alone as well.
     plan = discriminant._cut_plan
     plan.cache_clear()
     rng = random.Random(19)
@@ -817,7 +819,8 @@ def test_cut_plan_matches_binning_across_n_and_orders():
         disc = from_discriminant(D)
         n = disc.N
         large = [n + 1, 2 * n + 1, 3 * n, 4099] if n < 100 else [4099]
-        for bases in [*subsets, large + subsets[0], large, large[:-1]]:
+        odd = [b for b in large if b % 2]  # lcm odd: N/2 is a cut of no base
+        for bases in [*subsets, large + subsets[0], large, large[:-1], odd]:
             bases = [b for b in bases if first_integral_unit_cut(disc, b) is None]
             for order in (bases, bases[::-1]):
                 char = QuadChar(disc)
@@ -832,6 +835,57 @@ def test_cut_plan_matches_binning_across_n_and_orders():
     # A plan past MAX_PLAN_CUTS (4099, alone or with other bases) is built per call, never kept.
     info = plan.cache_info()
     assert info.misses == info.currsize == len(sets) and info.hits > info.misses
+
+
+@pytest.mark.parametrize("D", [-23, -4004, -300007])
+def test_lower_half_of_the_table_is_never_counted(D):
+    # The pass counts the pieces above N/2 and reads the ones below by the mirror
+    # x -> N - x, so zeroing chi on [0, N/2] in the cached buffer changes no count.
+    _clear_caches()
+    disc = from_discriminant(D)
+    n, bases = disc.N, tuple(BASES)
+    char = quad_char(disc)
+    buf = char.values().obj
+    intact = bytes(buf)
+    buf[: n // 2 + 1] = bytes(n // 2 + 1)
+    char._counts.clear()
+    try:
+        tables = char.ek_tables(bases)
+        want = memoryview(intact).cast("b")
+        for base, table in zip(bases, tables):
+            entries, pos, neg = ek_by_binning(want, n, base)
+            assert table.entries == tuple(entries), (D, base)
+            assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg)), (D, base)
+    finally:
+        buf[:] = intact
+        _clear_caches()
+
+
+@pytest.mark.parametrize(
+    "D, plans",
+    [
+        (-47, [(3,), (5, 7), (3, 9, 11, 13)]),
+        (-23, [(3,), (5, 7), (3, 9, 11, 13)]),
+        (-56, [(3,), (5, 7), (3, 9, 11, 13), (4,), (12,)]),
+        (-300007, [(3,), (5, 7), (3, 9, 11, 13)]),
+        (-4004, [(4,), (12,), (4, 12)]),
+        (-1000052, [(4,), (12,)]),
+    ],
+)
+def test_mirror_matches_binning_at_odd_lcm_and_integral_cuts(D, plans):
+    # An odd lcm makes N/2 a cut of no base asked for, so only the plan's own N/2
+    # key keeps a piece from straddling it; at even D, B = 4 and 12 cut at N/4, N/2
+    # and 3N/4, integers with chi = 0, which the mirror maps onto each other.
+    disc = from_discriminant(D)
+    n = disc.N
+    vals = quad_char(disc).values()
+    if n % 2 == 0:
+        assert n % 4 == 0 and not vals[n // 4] and not vals[n // 2] and not vals[3 * n // 4]
+    for bases in plans:
+        for base, table in zip(bases, QuadChar(disc).ek_tables(bases)):
+            entries, pos, neg = ek_by_binning(vals, n, base)
+            assert table.entries == tuple(entries), (D, base)
+            assert (table.pos_counts, table.neg_counts) == (tuple(pos), tuple(neg)), (D, base)
 
 
 def test_lone_base_counts_through_the_plan():
