@@ -25,14 +25,14 @@ bases, never on N, so it is a cached plan (_cut_plan) and a D only scales its
 integer keys.  The pass counts above N/2 only and mirrors by E_{B-1-k} = -E_k;
 only h_dirichlet reads below N/2, so it certifies the reflection against the
 E_k routes.  Single values are read from the table too.  A Legendre row of p
-stores nothing per square: Euler's criterion at the primes q <= m ~ 1.5 p^(2/3)
-gives its base, chi on [-m, m]; Dirichlet's approximation theorem puts every
-other x within m/b of some kp/b with b < p/m, so strided copies of the base
-fill the rest; and a 0 left in the row is a gap in that cover and raises
-InternalError.  The formula above, evaluated pointwise through quadratic
-reciprocity, is the tests' independent oracle.  quad_char keeps the QuadChar of
-the last D.  check_size and check_base refuse an N above MAX_N and a base
-outside 2..MAX_BASE before any table or cut list exists.
+stores nothing per square: its base, chi on [-m, m], m ~ 1.5 p^(2/3), takes
+chi(q) by reciprocity for primes q <= sqrt(p), else off its entries below q;
+Dirichlet's approximation theorem puts every other x within m/b of some kp/b
+with b < p/m, so strided copies of the base fill the rest; a 0 left is a gap in
+that cover and raises InternalError.  The formula above, evaluated pointwise
+through quadratic reciprocity, is the tests' independent oracle.  quad_char
+keeps the QuadChar of the last D.  check_size and check_base refuse an N above
+MAX_N and a base outside 2..MAX_BASE before any table or cut list exists.
 """
 
 from dataclasses import dataclass
@@ -280,13 +280,14 @@ _NEG = bytes.maketrans(b"\x01\xff", b"\xff\x01")  # negates signed bytes: 1 <-> 
 def _legendre_row(p: int, tail: int = 0) -> bytearray:
     """(x / p) for x in [0, p) in signed bytes: +1 on the nonzero squares, -1 elsewhere, 0 at 0.
 
-    Base: chi on [0, m], m = min(p - 1, floor(1.5 p^(2/3))) > sqrt(p), +1 but negated once
-    per q^j <= m at its multiples for each prime q with Euler's q^((p-1)/2) = -1 (mod p), and
-    extended to [-m, m] by chi(-1) = (-1)^((p-1)/2).  It fills [0, m] and [p - m, p).  Cover:
-    Dirichlet's theorem with Q = ceil(p/m) - 1 gives every other x some 2 <= b <= Q < m and k
-    coprime to b with |bx - kp| <= p/(Q + 1) <= m, so chi(x) = chi(b) chi(bx - kp) copies each
-    such interval from the base in one stride-b slice.  Certificate: a 0 left at any x != 0 is
-    an x the cover missed, and raises InternalError.  tail zeros follow the row.
+    Base: chi on [0, m], m = min(p - 1, floor(1.5 p^(2/3))) > sqrt(p): +1, negated at the multiples
+    of q^j <= m for each prime q with chi(q) = -1, q rising, so every entry below q is final at q.
+    Above sqrt(p), chi(q) = chi(-1) chi(p // q) chi(p % q) as (p // q) q = -(p % q) (mod p), both
+    indices below q; below, reciprocity: (2/p) by p mod 8, (q/p) = (p/q) (-1)^((p-1)(q-1)/4).
+    chi(-1) = (-1)^((p-1)/2) extends it to [-m, m].  Cover: Dirichlet's theorem, Q = ceil(p/m) - 1,
+    gives every other x some 2 <= b <= Q < m and k coprime to b with |bx - kp| <= p/(Q + 1) <= m,
+    so chi(x) = chi(b) chi(bx - kp) copies each such interval from the base as a stride-b slice.
+    A 0 left at x != 0 is a gap in that cover and raises InternalError.  tail zeros follow the row.
     """
     m = min(p - 1, int(1.5 * p ** (2 / 3)))  # > sqrt(p) for every p >= 3
     sieve = bytearray(b"\x00\x00") + bytearray(b"\x01") * (m - 1)  # 1 at the primes
@@ -295,7 +296,11 @@ def _legendre_row(p: int, tail: int = 0) -> bytearray:
             sieve[q * q :: q] = bytes((m - q * q) // q + 1)
     base = bytearray(b"\x00") + bytearray(b"\x01") * m
     for q in compress(range(m + 1), sieve):
-        if pow(q, p // 2, p) != 1:
+        if q * q > p:  # chi(q) = chi(-1) chi(p // q) chi(p % q), both indices below q
+            flip = (base[p // q] != base[p % q]) != (p % 4 == 3)
+        else:  # reciprocity: (2/p) by p mod 8, odd q by Euler's criterion mod q
+            flip = p % 8 in (3, 5) if q == 2 else (pow(p % q, q // 2, q) != 1) != (p % 4 == q % 4 == 3)
+        if flip:
             qj = q
             while qj <= m:
                 base[qj::qj] = base[qj::qj].translate(_NEG)

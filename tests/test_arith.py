@@ -15,7 +15,7 @@ from quadclass.arith import (
     least_primitive_root,
     multiplicative_order,
 )
-from quadclass.errors import InvalidModulusError, NotCoprimeError
+from quadclass.errors import InternalError, InvalidModulusError, NotCoprimeError
 
 from helpers import _squarefree, jacobi
 
@@ -127,6 +127,17 @@ class TestPrimitiveRoots:
         for p in range(3, 600, 2):
             if is_prime(p):
                 assert least_primitive_root(p) == primitive_root(p), p
+
+    def test_no_primitive_root_is_caught(self, monkeypatch):
+        # A prime list holding p itself makes every exponent (p - 1) // p = 0, so no
+        # candidate passes; the cache is cleared so 7 is searched, and again after.
+        least_primitive_root.cache_clear()
+        monkeypatch.setattr(arith, "phi_with_primes", lambda n: (n - 1, (n,), ()))
+        with pytest.raises(InternalError, match=r"^no primitive root below 7$"):
+            least_primitive_root(7)
+        monkeypatch.undo()
+        least_primitive_root.cache_clear()
+        assert least_primitive_root(7) == 3
 
     def test_is_primitive_root_counts(self):
         # Exactly phi(p - 1) primitive roots mod p.

@@ -1,9 +1,10 @@
+import builtins
 import pytest
 import sys
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
-from sympy import primerange, totient
+from sympy import primepi, primerange, totient
 
 from quadclass import discriminant
 from quadclass.discriminant import (
@@ -104,10 +105,22 @@ class TestLegendreRow:
         for p in primerange(3, 5000):
             assert discriminant._legendre_row(p) == legendre_by_squares(p), p
 
-    @pytest.mark.parametrize("p", [250013, 1000033, 9999973, 300007, 1000003])
+    @pytest.mark.parametrize("p", [250013, 1000033, 9999973, 300007, 1000003, 2499997])
     def test_matches_squares_at_large_p(self, p):
-        # p = 1 and 3 (mod 4): the base extends to [-m, 0) with chi(-1) = +1 and -1.
+        # p = 1 and 3 (mod 4): the base extends to [-m, 0) with chi(-1) = +1 and -1;
+        # 2499997 = 5 (mod 8) has (2/p) = -1.
         assert discriminant._legendre_row(p) == legendre_by_squares(p)
+
+    @pytest.mark.parametrize("p", [300007, 1000003])
+    def test_euler_criterion_only_below_sqrt_p(self, monkeypatch, p):
+        # Above isqrt(p) chi(q) is read off the row, so the only powers left are the
+        # reciprocity steps mod the odd q <= sqrt(p): at most pi(isqrt(p)) of them.
+        calls = []
+        monkeypatch.setattr(
+            discriminant, "pow", lambda *a: calls.append(a) or builtins.pow(*a), raising=False
+        )
+        assert discriminant._legendre_row(p) == legendre_by_squares(p)
+        assert 0 < len(calls) <= primepi(isqrt(p))
 
     @pytest.mark.parametrize(
         "skipped",

@@ -1,3 +1,4 @@
+import builtins
 import pytest
 from math import gcd
 
@@ -7,12 +8,14 @@ from quadclass import expansion
 from quadclass.arith import euler_phi, multiplicative_order
 from quadclass.discriminant import MAX_N, from_discriminant, quad_char
 from quadclass.errors import (
+    InternalError,
     InvalidModulusError,
     ModulusTooLargeError,
     NormalizationUndefinedError,
     NotCoprimeError,
 )
 from quadclass.expansion import (
+    ExpansionPeriod,
     all_cycles,
     digit_closed_form,
     expand,
@@ -73,6 +76,12 @@ class TestExpand:
         assert other.digits == per.digits[i:] + per.digits[:i]
         assert other.cycle == per.cycle[i:] + per.cycle[:i]
 
+    def test_open_cycle_is_caught(self, monkeypatch):
+        # An order one short of 6 stops the walk of 1/7 at 5, not back at 1.
+        monkeypatch.setattr(expansion, "multiplicative_order", lambda b, n: 5)
+        with pytest.raises(InternalError, match=r"^period 5 did not close the cycle of 1 mod 7$"):
+            expand(1, 10, 7)
+
 
 class TestDigitClosedForm:
     def test_matches_expand_exhaustive_small(self):
@@ -107,6 +116,14 @@ class TestDigitClosedForm:
         with pytest.raises(ValueError, match=r"numerator 8 outside \[1, 7\]"):
             digit_closed_form(8, 1, 10, 7)
 
+    def test_inexact_digit_is_caught(self, monkeypatch):
+        # A float power rounds once B^(i-1) mod n passes 2^53, and B y_prev - y_cur is
+        # then no longer a multiple of n.
+        monkeypatch.setattr(expansion, "pow", lambda *a: float(builtins.pow(*a)), raising=False)
+        n = 7**20
+        with pytest.raises(InternalError, match=rf"^non-exact digit at x=1, i=19, base=10, n={n}$"):
+            digit_closed_form(1, 19, 10, n)
+
 
 class TestAllCycles:
     def test_partition_small(self):
@@ -132,6 +149,11 @@ class TestAllCycles:
         cs = all_cycles(7, 15)
         reps = [c.x1 for c in cs.cycles]
         assert reps == sorted(reps)
+
+    def test_wrong_cycle_count_is_caught(self, monkeypatch):
+        monkeypatch.setattr(expansion, "euler_phi", lambda n: n)
+        with pytest.raises(InternalError, match=r"^cycle count 1 \* length 6 != phi\(7\)$"):
+            all_cycles(10, 7)
 
 
 class TestSizeLimit:
@@ -189,6 +211,13 @@ class TestNormalizeCycle:
         per = expand(1, 4, 15)  # chi(4) = +1
         with pytest.raises(NormalizationUndefinedError):
             normalize_cycle(per, quad_char(d))
+
+    def test_cycle_without_plus_member_is_caught(self):
+        # A hand-built one-member cycle at D = -7: chi(3) = -1 and e = 1, so the
+        # only member, 3, has chi = -1 and there is nothing to rotate to.
+        per = ExpansionPeriod(3, 3, 7, (1,), (3,))
+        with pytest.raises(InternalError, match=r"^cycle of 3 mod 7 has no chi=\+1 member$"):
+            normalize_cycle(per, quad_char(from_discriminant(-7)))
 
     def test_modulus_mismatch(self):
         per = expand(1, 10, 7)
