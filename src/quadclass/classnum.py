@@ -15,7 +15,7 @@ built once per D.  The cycle route walks the orbits of x -> Bx mod N over
 it in place (h_theorem1), with long division over only half of the
 residues: the reflection x -> N - x negates chi and complements every
 digit, a(N - x) = B - 1 - a(x), so it supplies the other half's digits
-(Midy's theorem, generalised).  At B = 2, 4, 8 and 10 one division Q =
+(Midy's theorem, generalised).  At B = 2, 4 and 8 one division Q =
 (B^w -/+ 1)/N gives every walk of a (D, B), the digits from x those of x Q
 (less 1 when B^w = -1) packed into slots and summed by popcounts; any other
 walk steps in base B^k, reading the signed sums of k >= 1 digits (a short
@@ -44,7 +44,6 @@ failure raises InternalError because the identities admit no exceptions.
 """
 
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, Context, DecimalException, Inexact, InvalidOperation, Rounded
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -249,58 +248,38 @@ def _radix_sum(base: int, n: int, w: int, s: int, paired: bool, groups: dict[int
                where: str) -> int:
     """sum chi(x) t_x over the walks of w digits from the starts x, from one division.
 
-    groups maps chi(x) to its starts; B is 2, 4 or 8 (m bits a digit) or 10.
-    With c = -1 when paired and +1 otherwise, the walks close, B^w = c (mod
-    N), exactly when Q = (B^w - c)/N is whole.  Walk x then ends at y = c x,
-    and its w digits, leading zeros included, are those of (B^w x - y)/N =
+    groups maps chi(x) to its starts; B is 2, 4 or 8, m bits a digit.  With
+    c = -1 when paired and +1 otherwise, the walks close, B^w = c (mod N),
+    exactly when Q = (B^w - c)/N is whole.  Walk x then ends at y = c x, and
+    its w digits, leading zeros included, are those of (B^w x - y)/N =
     x Q - [c = -1]; t_x signs the digit i places from the bottom by s^(w-1-i).
-    Each group's digits fill the slots of one int: fixed-width bytes in
-    binary, and in decimal zero-padded digit strings read as hex, a 4-bit
-    nibble a digit.  A slot is whole mask periods, so one repunit mask with
-    a bit at the bottom of every digit (every other one when s = -1) picks
-    bit b of all of them from A >> b, and the sum is m (2m) popcounts.  The
-    decimal context holds the w digits of B^w - 1 (w + 1 of B^w + 1), its
-    Emax their exponent, and traps any rounding.  A remainder or a decimal
-    signal raises InternalError.
+    Each group's digits fill the fixed-width byte slots of one int.  A slot is
+    whole mask periods, so one repunit mask with a bit at the bottom of every
+    digit (every other one when s = -1) picks bit b of all of them from A >> b,
+    and the sum is m (2m) popcounts.  A remainder raises InternalError.
     """
     c = -1 if paired else 1
-    width = 4 if base == 10 else base.bit_length() - 1  # bits a digit
+    width = base.bit_length() - 1  # bits a digit
     period = width if s == 1 else 2 * width  # from one mask bit to the next
     unit = lcm(8, period)  # whole bytes of whole periods
-    size = -(-w * width // unit) * unit // width  # digits a slot
-    try:
-        if base == 10:
-            ctx = Context(prec=w + paired, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
-            q, r = ctx.divmod(ctx.subtract(ctx.scaleb(1, w), c), n)
+    size = -(-w * width // unit) * unit // 8  # bytes a slot
+    q, r = divmod((1 << width * w) - c, n)
+    if r:
+        raise InternalError(f"{where}: the orbits do not close, {base}^{w} - {c} leaves {r} (mod {n})")
+    run = (((1 << unit) - 1) // ((1 << period) - 1)).to_bytes(unit // 8, "big")
+    ones = int.from_bytes(run * (max(map(len, groups.values())) * size * 8 // unit), "big")
 
-            def pack(xs):
-                return int.from_bytes(bytes.fromhex("".join(
-                    str(ctx.subtract(ctx.multiply(q, x), paired)).zfill(size) for x in xs)), "big")
-        else:
-            q, r = divmod((1 << width * w) - c, n)
+    def planes(a, low):  # sum of the digits read at the mask bits shifted up by low
+        return sum(((a >> (low + b)) & ones).bit_count() << b for b in range(width))
 
-            def pack(xs):
-                return int.from_bytes(
-                    b"".join((x * q - paired).to_bytes(size * width // 8, "big") for x in xs), "big")
-
-        if r:
-            raise InternalError(f"{where}: the orbits do not close, {base}^{w} - {c} leaves {r} (mod {n})")
-        run = (((1 << unit) - 1) // ((1 << period) - 1)).to_bytes(unit // 8, "big")
-        ones = int.from_bytes(run * (max(map(len, groups.values())) * size * width // unit), "big")
-
-        def planes(a, low):  # sum of the digits read at the mask bits shifted up by low
-            return sum(((a >> (low + b)) & ones).bit_count() << b for b in range(width))
-
-        total = 0
-        for chi, xs in groups.items():
-            a = pack(xs)
-            t = planes(a, 0)
-            if s == -1:
-                odd = planes(a, width)
-                t = t - odd if w % 2 else odd - t
-            total += chi * t
-    except DecimalException as exc:
-        raise InternalError(f"{where}: decimal {exc!r}") from exc
+    total = 0
+    for chi, xs in groups.items():
+        a = int.from_bytes(b"".join((x * q - paired).to_bytes(size, "big") for x in xs), "big")
+        t = planes(a, 0)
+        if s == -1:
+            odd = planes(a, width)
+            t = t - odd if w % 2 else odd - t
+        total += chi * t
     return total
 
 
@@ -417,9 +396,9 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     One division per (D, B).  With k = w the unrolling gives a walk's digits
     as A = floor(B^w x/N), and B^w = c (mod N), c = -1 when -C = C and +1
     otherwise, so A = x Q - [c = -1] with Q = (B^w - c)/N for every walk.
-    B = 2, 4 and 8 have a C radix in the binary int and 10 in decimal, where
-    _radix_sum packs the A into slots and reads their signed digit sums
-    through bit masks.  Every walk at any other base steps.
+    B = 2, 4 and 8 have a C radix in the binary int, where _radix_sum packs
+    the A into slots and reads their signed digit sums through bit masks.
+    Every walk at any other base steps.
 
     Packed lanes.  When the walks cover phi(N)/2 >= LANE_DIGITS digits in
     all and each is at least T = 2 isqrt(phi(N)/2) long, _lanes
@@ -485,8 +464,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     cover every unit once; every walk closes: each stepped one lands on x (on
     N - x when -C = C), every lane on its successor, and at a radix base
     Q's division leaves no remainder; the final division is exact with a
-    positive quotient; a decimal signal (the context is exact or it
-    traps).
+    positive quotient.
     """
     _check_coprime_base(disc, base)
     char = quad_char(disc)
@@ -509,7 +487,7 @@ def h_theorem1(disc: Discriminant, base: int) -> HResult:
     xs = groups[1] + groups[-1]
     if phi_with_primes(n)[0] != 2 * steps * len(xs):
         raise InternalError(f"{where}: cycle count phi({n}) is not 2 * {steps} * {len(xs)}")
-    if base in (2, 4, 8, 10):  # a C radix: one division for every walk
+    if base in (2, 4, 8):  # a C radix: one division for every walk
         total = _radix_sum(base, n, steps, s, self_paired, groups, where)
     else:
         total, left, ends = 0, steps, xs  # the walk from x steps on from its ends entry
@@ -597,7 +575,7 @@ def h_girstmair(p: int, base: int | None = None) -> HResult:
     cycle, so (B+1) h is the alternating digit sum of the period of 1/p.  That
     cycle is the one orbit h_theorem1 walks, from x = 1; -1 = B^((p-1)/2) mod
     p, so the walk covers (p - 1)/2 digits, read off (B^((p-1)/2) + 1)/p at
-    B = 2, 8 or 10 and k per step otherwise, the reflection supplies the others,
+    B = 2 or 8 and k per step otherwise, the reflection supplies the others,
     and with one class its start comes from a one-step tower that searches no
     root and certifies the period, so B's order is not found again here.  A p
     that is not an odd prime is refused by least_primitive_root (which picks B

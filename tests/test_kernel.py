@@ -94,7 +94,7 @@ def test_orbit_walk_matches_cycle_contributions():
                 shapes.add((s, "W > 1, N prime"))
             else:
                 shapes.add((s, "W > 1, N composite"))
-            if base in (2, 4, 8, 10):  # one division, no digit table
+            if base in (2, 4, 8):  # one division, no digit table
                 continue
             # A walk shorter than k, and the digits a longer one leaves over,
             # are one short block.
@@ -194,7 +194,7 @@ def test_digit_tables_match_long_division(base, sign):
         assert tab[bk * y // n] == want, (base, sign, y)
 
 
-STEPPED = (3, 5, 6, 7, 9, 11, 12, 13)  # the bases with no C radix
+STEPPED = (3, 5, 6, 7, 9, 10, 11, 12, 13)  # the bases below 14 with no binary radix
 
 
 def _record_lanes(monkeypatch) -> list[tuple]:
@@ -267,6 +267,9 @@ def test_lanes_match_block_stepping_below_the_constant(monkeypatch):
         (-1000003, 99991, 1, 1),
         # N = 9999991, next to MAX_N: chi(3) = -1 with 21 walks, chi(13) = +1 with one.
         (-9999991, 3, 21, 11), (-9999991, 13, 1, 1),
+        # B = 10 in lanes: 3 walks, 2 with chi(x) = +1, at each of these N (h = 145,
+        # 105 and 1715).
+        (-300007, 10, 3, 2), (-1000003, 10, 3, 2), (-9999991, 10, 3, 2),
     ],
 )
 def test_lanes_match_block_stepping_above_the_constant(monkeypatch, D, base, walks, plus):

@@ -1,17 +1,17 @@
-"""One division per (D, B) at B = 2, 4, 8 and 10, and the class starts.
+"""One division per (D, B) at B = 2, 4 and 8, and the class starts.
 
 h_theorem1 reads every walk of a (D, B) at a radix base off one quotient
 Q = (B^w - c)/N, with B^w = c = +/-1 (mod N): the walk from x has the digits
 of x Q - [c = -1], packed into the slots of one int per sign of chi(x)
-(classnum._radix_sum).  It starts its walks at products of kernel generators
-(the powers of a primitive root for prime N) instead of scanning marks.  Each
-is diffed here against routes that share none of that code: per-digit long
-division, the per-cycle reference h_cycle_contribution over all_cycles, and
-raw_sum = (B - chi(B)) h with h from h_dirichlet.
+(classnum._radix_sum); every other base, 10 included, steps in blocks or
+lanes.  It starts its walks at products of kernel generators (the powers of
+a primitive root for prime N) instead of scanning marks.  Each is diffed
+here against routes that share none of that code: per-digit long division,
+the per-cycle reference h_cycle_contribution over all_cycles, and raw_sum =
+(B - chi(B)) h with h from h_dirichlet.
 """
 
 import builtins
-import decimal
 from fractions import Fraction
 from math import gcd
 
@@ -30,19 +30,18 @@ from quadclass.classnum import (
 )
 from quadclass.discriminant import from_discriminant, quad_char
 from quadclass.errors import InternalError
-from quadclass.verify import verify_discriminant
 
 from helpers import fundamentals_with_n_up_to
 
-RADIX_BASES = (2, 4, 8, 10)
+RADIX_BASES = (2, 4, 8)
 
 
 def _count_divisions(monkeypatch):
     """A list that gets one entry per _radix_sum call: how many divisions it made.
 
-    Every division by N in _radix_sum is a divmod, the builtin in binary and
-    Context.divmod in decimal; both are counted while it runs.  The digit
-    tables of the stepped walk must not be asked for at a radix base."""
+    Every division by N in _radix_sum is a builtin divmod, counted while it
+    runs.  The digit tables of the stepped walk must not be asked for at a
+    radix base."""
     made = []
     inside = []
     real_sum = classnum._radix_sum
@@ -52,11 +51,6 @@ def _count_divisions(monkeypatch):
         if inside:
             made[-1] += 1
         return builtins.divmod(a, b)
-
-    class Context(decimal.Context):
-        def divmod(self, a, b):
-            made[-1] += 1
-            return super().divmod(a, b)
 
     def radix_sum(*args):
         made.append(0)
@@ -72,7 +66,6 @@ def _count_divisions(monkeypatch):
 
     monkeypatch.setattr(classnum, "_radix_sum", radix_sum)
     monkeypatch.setattr(classnum, "divmod", counting, raising=False)
-    monkeypatch.setattr(classnum, "Context", Context)
     monkeypatch.setattr(classnum, "_digit_table", digit_table)
     return made
 
@@ -198,16 +191,8 @@ def test_lone_groups_at_the_girstmair_primes(monkeypatch):
     assert seen == {(base, kind) for base in (2, 8) for kind in kinds}
 
 
-@pytest.mark.parametrize(
-    "N, base, walks",
-    [
-        (8191, 2, 315),  # 2^13 = 1: W = 8190 / 26
-        (131071, 2, 3855),  # 2^17 = 1: W = 131070 / 34
-        (524287, 2, 13797),  # 2^19 = 1: W = 524286 / 38
-        (9091, 10, 909),  # 10^5 = -1, so -C = C: W = 9090 / 10 walks of 5 digits
-    ],
-)
-def test_small_order_primes(monkeypatch, N, base, walks):
+def _small_order_prime(N, base, walks):
+    """(disc, raw sum) at D = -N, once W and the per-cycle reference are checked."""
     disc = from_discriminant(-N)
     char = quad_char(disc)
     cycles = all_cycles(base, N).cycles
@@ -215,10 +200,35 @@ def test_small_order_primes(monkeypatch, N, base, walks):
     total = sum((h_cycle_contribution(c, char) for c in cycles), Fraction(0))
     want = (base - char.eval(base)) * h_dirichlet(disc).h
     assert total * (base - char.eval(base)) == want
+    return disc, want
+
+
+@pytest.mark.parametrize(
+    "N, base, walks",
+    [
+        (8191, 2, 315),  # 2^13 = 1: W = 8190 / 26
+        (131071, 2, 3855),  # 2^17 = 1: W = 131070 / 34
+        (524287, 2, 13797),  # 2^19 = 1: W = 524286 / 38
+    ],
+)
+def test_small_order_primes(monkeypatch, N, base, walks):
+    disc, want = _small_order_prime(N, base, walks)
     made = _count_divisions(monkeypatch)
     assert h_theorem1(disc, base).raw_sum == want
     # Thousands of walks a few digits long, and still at most two divisions.
     assert len(made) == 1 and 1 <= made[0] <= 2, made
+
+
+def test_base_10_steps_its_small_order_walks(monkeypatch):
+    # 10^5 = -1 (mod 9091), so -C = C: W = 9090 / 10 walks of 5 digits, each a
+    # block of 3 and a short block of 2, with no quotient Q.
+    disc, want = _small_order_prime(9091, 10, 909)
+
+    def refuse(*args):
+        raise AssertionError("_radix_sum called at B = 10")
+
+    monkeypatch.setattr(classnum, "_radix_sum", refuse)
+    assert h_theorem1(disc, 10).raw_sum == want
 
 
 @pytest.mark.parametrize(
@@ -244,36 +254,3 @@ def test_start_certificate(monkeypatch, D, base, power, bad):
         monkeypatch.setattr(classnum, "least_primitive_root", lambda p: start)
         with pytest.raises(InternalError, match=rf"cycle\[B={base}\] at D={D}: start {start} misses classes"):
             h_theorem1(disc, base)
-
-
-def test_decimal_context_one_digit_short_is_an_internal_error(monkeypatch):
-    # 10 is a primitive root mod 1019 with 10^509 = -1: one walk of 509
-    # digits from 1, read off Q = (10^509 + 1) / 1019.  The context must hold
-    # the 510 digits of 10^509 + 1, and that is all it is given.
-    disc = from_discriminant(-1019)
-    digits = len(str(10**509 + 1))
-    want = (10 - quad_char(disc).eval(10)) * h_dirichlet(disc).h
-    real = decimal.Context
-    asked = []
-    monkeypatch.setattr(classnum, "Context", lambda **kw: asked.append(kw["prec"]) or real(**kw))
-    assert h_theorem1(disc, 10).raw_sum == want
-    assert asked == [digits]
-    monkeypatch.setattr(classnum, "Context", lambda **kw: real(**{**kw, "prec": digits - 1}))
-    with pytest.raises(InternalError, match=r"cycle\[B=10\] at D=-1019: decimal .*Inexact"):
-        h_theorem1(disc, 10)
-    record = verify_discriminant(-1019)
-    assert not record.passed
-    assert "cycle[B=10] at D=-1019: decimal" in record.error
-
-
-def test_base_10_walk_longer_than_the_default_emax():
-    # chi(10) = +1 and 10 has order w = 1666665 mod 9999991: W = 3 walks of
-    # w digits each, so 10^w - 1 needs an exponent past decimal's default Emax.
-    disc = from_discriminant(-9999991)
-    w = multiplicative_order(10, disc.N)
-    assert w == 1666665 > decimal.DefaultContext.Emax
-    default = decimal.Context(prec=w + 2, traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
-    with pytest.raises(decimal.DecimalException):
-        default.scaleb(decimal.Decimal(1), w)
-    assert quad_char(disc).eval(10) == 1
-    assert h_theorem1(disc, 10).raw_sum == 9 * h_dirichlet(disc).h == 9 * 1715
